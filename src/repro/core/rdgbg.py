@@ -38,6 +38,10 @@ def rd_gbg(X: np.ndarray, y: np.ndarray, rho: int = 5, seed: int = 0) -> GBSet:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n = len(X)
+    if n != len(y):
+        raise ValueError(f"X has {n} rows but y has {len(y)} labels")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite (no NaN or inf)")
     if n == 0:
         return GBSet()
     if rho < 2:

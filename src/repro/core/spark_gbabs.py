@@ -1,27 +1,31 @@
 """Distributed GBABS over a Spark DataFrame (the repro's Spark layering).
 
-Per the reproduction plan (DESIGN.md): granulation is embarrassingly
-parallel per shard, boundary detection is global and relational.
+Granulation is embarrassingly parallel per shard; boundary detection is
+global and relational. A ball never spans partitions, so everything
+Algorithm 2 needs from a ball is known in the task that builds it:
 
 * ``granulate_partitions`` — runs RD-GBG **per partition** with
-  ``mapInPandas``; emits one row per covered sample tagged with a
-  globally unique ``ball_key`` and an ``is_center`` flag (RD-GBG centers
-  are real samples). Class-noise rows detected by RD-GBG are dropped
-  here and never reach the output.
-* ``borderline_pairs_df`` — melts the ball centers to long form
-  ``(dim, val, ball_key, label)`` with ``stack`` and finds, per
-  dimension, adjacent centers with different labels using a Catalyst
-  window (``lead`` over ``ORDER BY val``). Pure Spark SQL — this step is
-  oracle-checked against an equivalent DuckDB window query in tests.
-* ``gbabs_sample_df`` — joins the pairs back to ball members and picks
-  the two facing extreme samples per pair with ``max_by`` / ``min_by``,
-  then semi-joins the original rows.
+  ``mapInPandas`` and emits the **ball table**, one row per ball:
+  ``ball_key`` (``partition << 32 | ball``), ``label``, the ``center``
+  coordinates, and per dimension the ``_sid`` of the ball's arg-max
+  (``top``) and arg-min (``bot``) member — its two facing extremes.
+  Class-noise rows detected by RD-GBG belong to no ball.
+* ``borderline_pairs_df`` — explodes the ball table to one row per
+  ``(dim, val)`` and finds, per dimension, adjacent centers with
+  different labels using a Catalyst window (``lead`` over
+  ``ORDER BY val, ball_key``). Each pair carries the lower ball's ``top``
+  and the upper ball's ``bot``. This step is oracle-checked against an
+  equivalent DuckDB window query in tests.
+* ``gbabs_sample_df`` — left-semi-joins the original rows on the pairs'
+  two sample ids.
 
 With ``num_partitions=1`` this computes exactly the single-node
-Algorithm 2; with more partitions each shard granulates locally (balls
-are non-overlapping *within* a shard) while boundary detection still
-sees every ball — the natural data-parallel approximation the
-calibration hint prescribes.
+Algorithm 2, tied coordinates included: ball keys order like ball
+indices and the extremes use numpy's first-occurrence arg-max/arg-min.
+With more partitions each shard granulates locally, so balls from
+different shards may overlap while boundary detection still sees every
+ball — the natural data-parallel approximation. Unlike the numpy
+reference, single-class input yields no pairs and so an empty sample.
 """
 from __future__ import annotations
 
@@ -44,6 +48,8 @@ __all__ = [
 
 SID = "_sid"
 
+BALL_SCHEMA = "ball_key long, label long, center array<double>, top array<long>, bot array<long>"
+
 
 def to_spark_df(spark: SparkSession, X: np.ndarray, y: np.ndarray) -> DataFrame:
     """Wrap ``(X, y)`` as a DataFrame with columns f0..f{p-1}, label, _sid."""
@@ -54,82 +60,71 @@ def to_spark_df(spark: SparkSession, X: np.ndarray, y: np.ndarray) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def _feature_cols(df: DataFrame) -> list[str]:
-    return [c for c in df.columns if c.startswith("f")]
-
-
 def granulate_partitions(
     df: DataFrame, *, rho: int = 5, seed: int = 0, num_partitions: int | None = None
 ) -> DataFrame:
-    """Per-partition RD-GBG: rows of covered samples tagged with their ball.
+    """Per-partition RD-GBG: the ball table, one row per ball.
 
-    Output columns: ``_sid``, features, ``label``, ``ball_key``
-    (``"<partition>_<ball>"``), ``is_center``. Noise rows are absent.
+    Features are every column of ``df`` except ``label`` and ``_sid``.
+    Output columns: ``ball_key``, ``label``, ``center``, ``top``, ``bot``
+    (see the module docstring).
     """
-    feats = _feature_cols(df)
+    feats = [c for c in df.columns if c not in ("label", SID)]
     if num_partitions is not None:
         df = df.repartition(num_partitions)
 
-    out_schema = (
-        f"{SID} long, "
-        + ", ".join(f"{c} double" for c in feats)
-        + ", label long, ball_key string, is_center boolean"
-    )
-
-    def run(iterator: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         from pyspark import TaskContext
 
+        batches = list(batches)
+        if not batches:  # empty shard
+            return
+        pdf = pd.concat(batches, ignore_index=True)
+        X = pdf[feats].to_numpy(dtype=np.float64)
+        sids = pdf[SID].to_numpy()
         pid = TaskContext.get().partitionId()
-        for pdf in iterator:
-            if len(pdf) == 0:
-                continue
-            X = pdf[feats].to_numpy(dtype=np.float64)
-            y = pdf["label"].to_numpy()
-            sids = pdf[SID].to_numpy()
-            gbset = rd_gbg(X, y, rho=rho, seed=seed + pid)
-            rows = []
-            for bi, ball in enumerate(gbset.balls):
-                key = f"{pid}_{bi}"
-                for k, row in enumerate(ball.idx):
-                    rows.append(
-                        (int(sids[row]), *X[row].tolist(), int(y[row]), key, k == 0)
-                    )
-            if rows:
-                yield pd.DataFrame(
-                    rows, columns=[SID, *feats, "label", "ball_key", "is_center"]
-                )
+        gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
+        if len(gbset) == 0:
+            return
+        yield pd.DataFrame(
+            {
+                "ball_key": (pid << 32) | np.arange(len(gbset), dtype=np.int64),
+                "label": gbset.labels().astype(np.int64),
+                "center": list(gbset.centers()),
+                "top": [sids[b.idx[np.argmax(X[b.idx], axis=0)]] for b in gbset.balls],
+                "bot": [sids[b.idx[np.argmin(X[b.idx], axis=0)]] for b in gbset.balls],
+            }
+        )
 
-    return df.mapInPandas(run, schema=out_schema)
-
-
-def _melt(df: DataFrame, feats: list[str], keep: list[str]) -> DataFrame:
-    """Wide→long: one row per (kept cols, dim, val) via ``stack``."""
-    pairs = ", ".join(f"{j}, {c}" for j, c in enumerate(feats))
-    stacked = f"stack({len(feats)}, {pairs}) as (dim, val)"
-    return df.selectExpr(*keep, stacked)
+    return df.mapInPandas(run, schema=BALL_SCHEMA)
 
 
 def borderline_pairs_df(balls: DataFrame) -> DataFrame:
-    """Adjacent heterogeneous center pairs per dimension (Catalyst windows).
+    """Adjacent heterogeneous center pairs per dimension (Catalyst window).
 
-    Input: output of :func:`granulate_partitions`. Output columns:
+    Input: the ball table of :func:`granulate_partitions`. Output columns:
     ``dim``, ``lo_ball``, ``hi_ball`` — the lower/upper ball keys of each
     heterogeneous adjacency in the per-dimension center ordering (ties
-    broken by ball_key, matching the numpy reference's lexsort).
+    broken by ball_key, matching the numpy reference's lexsort) — and
+    ``lo_sid``/``hi_sid``, the lower ball's ``top`` and the upper ball's
+    ``bot`` sample in that dimension.
     """
-    feats = _feature_cols(balls)
-    centers = balls.filter(F.col("is_center"))
-    long = _melt(centers, feats, ["ball_key", "label"])
+    long = balls.selectExpr(
+        "ball_key", "label", "posexplode(arrays_zip(center, top, bot)) AS (dim, z)"
+    ).select("dim", "ball_key", "label", "z.top", "z.bot", F.col("z.center").alias("val"))
     w = Window.partitionBy("dim").orderBy("val", "ball_key")
     return (
-        long.withColumn("nxt_label", F.lead("label").over(w))
-        .withColumn("nxt_ball", F.lead("ball_key").over(w))
-        .filter(F.col("nxt_label").isNotNull() & (F.col("label") != F.col("nxt_label")))
-        .select(
+        long.select(
             "dim",
+            "label",
             F.col("ball_key").alias("lo_ball"),
-            F.col("nxt_ball").alias("hi_ball"),
+            F.col("top").alias("lo_sid"),
+            F.lead("label").over(w).alias("nxt_label"),
+            F.lead("ball_key").over(w).alias("hi_ball"),
+            F.lead("bot").over(w).alias("hi_sid"),
         )
+        .filter(F.col("label") != F.col("nxt_label"))
+        .select("dim", "lo_ball", "hi_ball", "lo_sid", "hi_sid")
     )
 
 
@@ -138,37 +133,10 @@ def gbabs_sample_df(
 ) -> DataFrame:
     """Distributed Algorithm 2: returns the sampled rows of ``df``.
 
-    ``df`` must have columns f0..f{p-1}, ``label``, ``_sid`` (see
+    ``df`` needs ``label``, ``_sid`` and numeric feature columns (see
     :func:`to_spark_df`).
     """
-    feats = _feature_cols(df)
-    balls = granulate_partitions(
-        df, rho=rho, seed=seed, num_partitions=num_partitions
-    ).cache()
+    balls = granulate_partitions(df, rho=rho, seed=seed, num_partitions=num_partitions)
     pairs = borderline_pairs_df(balls)
-    members = (
-        _melt(balls, feats, [SID, "ball_key"])
-        .withColumnRenamed("dim", "mdim")
-        .withColumnRenamed("ball_key", "mball")
-    )
-
-    lo = (
-        pairs.join(
-            members,
-            (pairs.lo_ball == members.mball) & (pairs.dim == members.mdim),
-            "inner",
-        )
-        .groupBy("dim", "lo_ball", "hi_ball")
-        .agg(F.expr(f"max_by({SID}, val)").alias(SID))
-    )
-    hi = (
-        pairs.join(
-            members,
-            (pairs.hi_ball == members.mball) & (pairs.dim == members.mdim),
-            "inner",
-        )
-        .groupBy("dim", "lo_ball", "hi_ball")
-        .agg(F.expr(f"min_by({SID}, val)").alias(SID))
-    )
-    picked = lo.select(SID).union(hi.select(SID)).distinct()
+    picked = pairs.select(F.explode(F.array("lo_sid", "hi_sid")).alias(SID))
     return df.join(picked, on=SID, how="left_semi")

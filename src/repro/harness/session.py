@@ -1,9 +1,10 @@
-"""SparkSession for standalone ``spark-submit`` jobs.
+"""The one place that holds the repro's per-session Spark settings.
 
-Tests use the session fixture from ``conftest.py``; jobs call
-``get_session()`` which applies the same per-session settings (Arrow,
-shuffle partitions, broadcast joins disabled) to a builder-created or
-spark-submit-provided session.
+Jobs, the benchmark and the tests' session fixture all call
+``get_session()``, which applies Arrow, shuffle partitions and disabled
+broadcast joins to a builder-created or spark-submit-provided session.
+Broadcast joins are off so joins exercise the shuffle path; a query that
+wants a broadcast join sets the threshold back for itself.
 """
 from __future__ import annotations
 

@@ -128,6 +128,18 @@ class TestEdgesAndValidation:
         with pytest.raises(ValueError):
             rd_gbg(X, y, rho=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise(self, bad):
+        X, y = _blobs(n=50)
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rd_gbg(X, y)
+
+    def test_length_mismatch_raises(self):
+        X, y = _blobs(n=50)
+        with pytest.raises(ValueError, match="rows"):
+            rd_gbg(X, y[:-1])
+
     @pytest.mark.parametrize("rho", [3, 5, 9, 15])
     def test_any_rho_keeps_invariants(self, rho):
         X, y = _blobs(n=200, seed=8)

@@ -1,11 +1,13 @@
-"""Tests for the distributed GBABS (mapInPandas + Catalyst windows)."""
+"""Tests for the distributed GBABS (ball table + Catalyst window)."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
+from pyspark.errors import PythonException
 
-from repro.core.gbabs import gbabs_sample
+from repro.core.gbabs import borderline_pairs, gbabs_sample
+from repro.core.rdgbg import rd_gbg
 from repro.core.spark_gbabs import (
+    BALL_SCHEMA,
     SID,
     borderline_pairs_df,
     gbabs_sample_df,
@@ -14,6 +16,10 @@ from repro.core.spark_gbabs import (
 )
 from repro.datasets.registry import load_dataset
 from repro.oracle import assert_equivalent
+
+
+def _sids(sdf) -> list[int]:
+    return sorted(r[SID] for r in sdf.select(SID).collect())
 
 
 @pytest.fixture(scope="module")
@@ -28,33 +34,77 @@ def test_to_spark_df_schema(s2):
     assert set(df.columns) == {f"f{j}" for j in range(X.shape[1])} | {"label", SID}
 
 
-def test_single_partition_matches_numpy_exactly(s2):
-    """num_partitions=1 is the paper's Algorithm 2, bit-for-bit."""
-    X, y, df = s2
-    got = sorted(
-        r[SID] for r in gbabs_sample_df(df, rho=5, seed=0, num_partitions=1).select(SID).collect()
-    )
+@pytest.mark.parametrize(
+    "name,noise", [(d, z) for d in ("S1", "S2", "S3") for z in (0.0, 0.2)]
+)
+def test_single_partition_matches_numpy_exactly(spark, name, noise):
+    """num_partitions=1 is the paper's Algorithm 2, bit-for-bit.
+
+    S1 and S3 have integer-valued (categorical) columns, so centers and
+    ball members tie on coordinates; ties must break as in numpy.
+    """
+    X, y, _ = load_dataset(name, noise_ratio=noise)
+    got = _sids(gbabs_sample_df(to_spark_df(spark, X, y), rho=5, seed=0, num_partitions=1))
     idx, _ = gbabs_sample(X, y, rho=5, seed=0)
     assert got == idx.tolist()
 
 
+def test_multi_partition_sample_repeats(spark):
+    X, y, _ = load_dataset("S3")
+    df = to_spark_df(spark, X, y)
+    runs = [_sids(gbabs_sample_df(df, rho=5, seed=0, num_partitions=4)) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_arbitrary_feature_column_names(spark):
+    """Features are every column but label/_sid, whatever their names."""
+    X, y, _ = load_dataset("S5")
+    df = to_spark_df(spark, X, y)
+    renamed = df.withColumnsRenamed({"f0": "area", "f1": "b"})
+    want = _sids(gbabs_sample_df(df, rho=5, seed=0, num_partitions=1))
+    assert _sids(gbabs_sample_df(renamed, rho=5, seed=0, num_partitions=1)) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_raise_on_action(spark, bad):
+    X, y, _ = load_dataset("S2")
+    X = X.copy()
+    X[3, 2] = bad
+    sampled = gbabs_sample_df(to_spark_df(spark, X, y), num_partitions=1)  # lazy
+    with pytest.raises(PythonException, match="finite"):
+        sampled.collect()
+
+
+def test_empty_shards(spark):
+    """More partitions than rows leaves shards empty; they emit nothing."""
+    X = np.array([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    df = to_spark_df(spark, X, y)
+    assert granulate_partitions(df, num_partitions=8).count() <= len(X)
+    assert set(_sids(gbabs_sample_df(df, num_partitions=8))) <= set(range(len(X)))
+
+
 def test_granulate_partitions_purity_and_keys(s2):
+    """One row per ball; each ball's facing extremes carry its label."""
     X, y, df = s2
     balls = granulate_partitions(df, rho=5, seed=0, num_partitions=2).toPandas()
-    # every ball has exactly one center and a single label
-    per_ball = balls.groupby("ball_key").agg(
-        n_labels=("label", "nunique"), n_centers=("is_center", "sum")
-    )
-    assert (per_ball["n_labels"] == 1).all()
-    assert (per_ball["n_centers"] == 1).all()
+    assert balls["ball_key"].is_unique
+    assert set(balls["ball_key"].to_numpy() >> 32) == {0, 1}
+    top, bot = np.stack(balls["top"]), np.stack(balls["bot"])
+    assert top.shape == bot.shape == (len(balls), X.shape[1])
+    label = balls["label"].to_numpy()[:, None]
+    assert (y[top] == label).all() and (y[bot] == label).all()
 
 
 def test_granulate_partitions_covers_subset_of_rows(s2):
+    """At one partition the ball table is numpy's ball set, row for row."""
     X, y, df = s2
-    balls = granulate_partitions(df, rho=5, seed=0, num_partitions=2).toPandas()
-    sids = set(balls[SID])
-    assert sids <= set(range(len(X)))
-    assert not balls[SID].duplicated().any()  # partition of covered rows
+    balls = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
+    gbset = rd_gbg(X, y, rho=5, seed=0)
+    assert len(balls) == len(gbset)
+    assert np.array_equal(np.stack(balls["center"]), gbset.centers())
+    sids = np.concatenate([np.stack(balls["top"]), np.stack(balls["bot"])])
+    assert set(sids.ravel()) <= set(range(len(X)))
 
 
 @pytest.mark.parametrize("parts", [2, 4])
@@ -71,48 +121,53 @@ def test_multi_partition_sample_is_subset_with_sane_ratio(s2, parts):
 def test_borderline_pairs_df_matches_duckdb_oracle(spark):
     """The Catalyst window query == the same SQL on DuckDB (the oracle)."""
     rng = np.random.default_rng(7)
-    centers = pd.DataFrame(
+    m, p = 40, 2
+    # Coarse coordinates force center ties, which break by ball_key.
+    center = rng.integers(0, 8, (m, p)).astype(np.float64)
+    top, bot = rng.integers(0, 1000, (2, m, p))
+    balls = pd.DataFrame(
         {
-            SID: np.arange(40),
-            "f0": rng.random(40),
-            "f1": rng.random(40),
-            "label": rng.integers(0, 3, 40).astype("int64"),
-            "ball_key": [f"0_{i}" for i in range(40)],
-            "is_center": True,
+            "ball_key": (rng.integers(0, 3, m) << 32) + rng.permutation(m),
+            "label": rng.integers(0, 3, m),
+            "center": list(center),
+            "top": list(top),
+            "bot": list(bot),
         }
     )
-    balls_df = spark.createDataFrame(centers)
-    got = borderline_pairs_df(balls_df).select("dim", "lo_ball", "hi_ball")
+    longf = pd.DataFrame(
+        {
+            "dim": np.tile(np.arange(p), m),
+            "ball_key": np.repeat(balls["ball_key"], p),
+            "label": np.repeat(balls["label"], p),
+            "val": center.ravel(),
+            "top": top.ravel(),
+            "bot": bot.ravel(),
+        }
+    )
+    got = borderline_pairs_df(spark.createDataFrame(balls, schema=BALL_SCHEMA))
     sql = """
-        WITH longf AS (
-            SELECT ball_key, label, 0 AS dim, f0 AS val FROM centers
-            UNION ALL
-            SELECT ball_key, label, 1 AS dim, f1 AS val FROM centers
-        ), w AS (
-            SELECT dim, ball_key, label,
+        WITH w AS (
+            SELECT dim, ball_key, label, top,
                    lead(label) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_label,
-                   lead(ball_key) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_ball
+                   lead(ball_key) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_ball,
+                   lead(bot) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_bot
             FROM longf
         )
-        SELECT dim, ball_key AS lo_ball, nxt_ball AS hi_ball
+        SELECT dim, ball_key AS lo_ball, nxt_ball AS hi_ball,
+               top AS lo_sid, nxt_bot AS hi_sid
         FROM w WHERE nxt_label IS NOT NULL AND label <> nxt_label
     """
-    assert_equivalent(got, sql, centers=centers)
+    assert_equivalent(got, sql, longf=longf)
 
 
-def test_borderline_pairs_df_matches_numpy_reference(spark, s2):
-    from repro.core.gbabs import borderline_pairs
-    from repro.core.rdgbg import rd_gbg
-
+def test_borderline_pairs_df_matches_numpy_reference(s2):
     X, y, df = s2
     balls_sdf = granulate_partitions(df, rho=5, seed=0, num_partitions=1)
-    got = {
-        (r["dim"], r["lo_ball"], r["hi_ball"])
-        for r in borderline_pairs_df(balls_sdf).collect()
-    }
+    got = {tuple(r) for r in borderline_pairs_df(balls_sdf).collect()}
     gbset = rd_gbg(X, y, rho=5, seed=0)
+    idx = [b.idx for b in gbset.balls]
     want = {
-        (d, f"0_{a}", f"0_{b}")
+        (d, a, b, idx[a][np.argmax(X[idx[a], d])], idx[b][np.argmin(X[idx[b], d])])
         for d, a, b in borderline_pairs(gbset.centers(), gbset.labels())
     }
     assert got == want
@@ -120,9 +175,10 @@ def test_borderline_pairs_df_matches_numpy_reference(spark, s2):
 
 def test_noise_rows_never_emitted(spark):
     X, y, _ = load_dataset("S2", noise_ratio=0.3, noise_seed=1)
-    from repro.core.rdgbg import rd_gbg
-
     df = to_spark_df(spark, X, y)
     balls = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
-    gbset = rd_gbg(X, y, rho=5, seed=0)
-    assert not set(balls[SID]) & set(gbset.noise_idx.tolist())
+    noise = set(rd_gbg(X, y, rho=5, seed=0).noise_idx.tolist())
+    assert noise
+    extremes = set(np.stack(balls["top"]).ravel()) | set(np.stack(balls["bot"]).ravel())
+    assert not extremes & noise
+    assert not set(_sids(gbabs_sample_df(df, rho=5, seed=0, num_partitions=1))) & noise
