@@ -1,9 +1,23 @@
 """CART decision tree (gini impurity, exact threshold search).
 
 Substitute for sklearn's DecisionTreeClassifier (see DESIGN.md): same
-algorithm — recursive binary splits minimising weighted gini, grown to
-purity by default — implemented with vectorised prefix-sum split scans so
-a 2000-sample tree fits the experiment grid's time budget.
+algorithm — binary splits minimising weighted gini, grown to purity by
+default.
+
+``fit`` stable-argsorts every feature **once** into a ``(p, n)`` matrix of
+row indices. A node holds that matrix restricted to its rows, and it
+scores all candidate features in one vectorised pass: it gathers the
+sorted values and one-hot labels, prefix-sums the labels along the sorted
+axis, and takes each feature's best boundary by ``argmin``. A split
+partitions every row of the matrix with one boolean mask, so each child's
+rows stay sorted, with ties in the original row order — what a stable
+argsort at that node would give. Splits, thresholds and leaf
+distributions therefore equal a per-node, per-feature argsort scan bit
+for bit.
+
+The tree is grown from an explicit stack in preorder (left child first),
+so depth is not bounded by Python's recursion limit and a random forest's
+per-node feature draws keep their order.
 """
 from __future__ import annotations
 
@@ -26,39 +40,54 @@ class _Node:
 def _best_split_gini(
     X: np.ndarray,
     Y: np.ndarray,  # one-hot (n, q) float64
+    S: np.ndarray,  # (p, m) node rows, each row sorted by its feature
+    total: np.ndarray,  # (q,) class counts of the node
     feat_ids: np.ndarray,
 ) -> tuple[int, float, float]:
     """Return (feature, threshold, gain). gain < 0 means no valid split.
 
-    For each feature: sort values, prefix-sum one-hot labels, and score
-    every boundary between distinct adjacent values with the gini
-    decrease. All candidate positions for one feature are scored in one
-    vectorised pass.
+    Every boundary between distinct adjacent values of every feature in
+    ``feat_ids`` is scored with the gini decrease in one pass over a
+    ``(k, m - 1, q)`` table of left-class counts; boundaries inside runs
+    of equal values score ``inf``. The first feature in ``feat_ids`` order
+    whose best gain beats the running best by more than 1e-12 wins.
     """
-    n, q = Y.shape
-    total = Y.sum(axis=0)
-    gini_parent = 1.0 - ((total / n) ** 2).sum()
+    m = S.shape[1]
+    gini_parent = 1.0 - ((total / m) ** 2).sum()
+    Sk = S[feat_ids]  # (k, m)
+    xs = X[Sk, feat_ids[:, None]]
+    # Left-class counts after each position; exact integers in float64.
+    left = Y[Sk]
+    np.cumsum(left, axis=1, out=left)
+    left = left[:, :-1]  # split after position i = 1..m-1
+    nl = np.arange(1.0, m)
+    nr = m - nl
+    tmp = np.divide(left, nl[:, None])
+    np.square(tmp, out=tmp)
+    gini_l = tmp.sum(-1)
+    np.subtract(total, left, out=tmp)  # right-class counts
+    del left
+    tmp /= nr[:, None]
+    np.square(tmp, out=tmp)
+    gini_r = tmp.sum(-1)
+    del tmp
+    np.subtract(1.0, gini_l, out=gini_l)
+    np.subtract(1.0, gini_r, out=gini_r)
+    gini_l *= nl
+    gini_r *= nr
+    weighted = np.add(gini_l, gini_r, out=gini_l)
+    weighted /= m
+    weighted[~(xs[:, 1:] > xs[:, :-1])] = np.inf  # only where the value changes
+    pos = np.argmin(weighted, axis=1)
+    best_w = weighted[np.arange(len(feat_ids)), pos]
     best = (-1, 0.0, -1.0)
-    for j in feat_ids:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = Y[order]
-        # split after position i (1..n-1), only where value changes
-        valid = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        if len(valid) == 0:
-            continue
-        left_counts = np.cumsum(ys, axis=0)[valid - 1]  # (m, q)
-        nl = valid.astype(np.float64)
-        nr = n - nl
-        right_counts = total[None, :] - left_counts
-        gini_l = 1.0 - ((left_counts / nl[:, None]) ** 2).sum(1)
-        gini_r = 1.0 - ((right_counts / nr[:, None]) ** 2).sum(1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        i = int(np.argmin(weighted))
-        gain = gini_parent - weighted[i]
+    for f, j in enumerate(feat_ids):
+        gain = gini_parent - best_w[f]
         if gain > best[2] + 1e-12:
-            pos = valid[i]
-            thr = 0.5 * (xs[pos - 1] + xs[pos])
+            i = pos[f] + 1
+            thr = 0.5 * (xs[f, i - 1] + xs[f, i])
+            if not xs[f, i - 1] <= thr < xs[f, i]:  # midpoint rounded or overflowed
+                thr = xs[f, i - 1]
             best = (int(j), float(thr), float(gain))
     return best
 
@@ -87,35 +116,39 @@ class DecisionTreeClassifier:
             raise ValueError("empty training set")
         self._classes, y_enc = np.unique(y, return_inverse=True)
         q = len(self._classes)
-        Y = np.zeros((len(y), q))
-        Y[np.arange(len(y)), y_enc] = 1.0
+        n, p = X.shape
+        Y = np.zeros((n, q))
+        Y[np.arange(n), y_enc] = 1.0
         rng = np.random.default_rng(self.seed)
-        self._root = self._grow(X, Y, depth=0, rng=rng)
+        S = np.argsort(X.T, axis=1, kind="stable")  # (p, n) presort
+        self._root = _Node()
+        stack = [(self._root, S, 0)]
+        while stack:
+            node, S, depth = stack.pop()
+            counts = np.bincount(y_enc[S[0]], minlength=q).astype(np.float64)
+            node.proba = counts / counts.sum()
+            m = S.shape[1]
+            if (
+                depth >= self.max_depth
+                or m < self.min_samples_split
+                or (counts > 0).sum() == 1
+            ):
+                continue
+            if self.max_features is not None and self.max_features < p:
+                feat_ids = rng.choice(p, size=self.max_features, replace=False)
+            else:
+                feat_ids = np.arange(p)
+            j, thr, gain = _best_split_gini(X, Y, S, counts, feat_ids)
+            if gain <= 0:
+                continue
+            L = X[S, j] <= thr  # (p, m): each row of S split the same way
+            m_l = int(L[0].sum())
+            node.feature, node.threshold = j, thr
+            node.left, node.right = _Node(), _Node()
+            # Right first so the left child is popped next: preorder.
+            stack.append((node.right, S[~L].reshape(p, m - m_l), depth + 1))
+            stack.append((node.left, S[L].reshape(p, m_l), depth + 1))
         return self
-
-    def _grow(self, X: np.ndarray, Y: np.ndarray, depth: int, rng) -> _Node:
-        node = _Node()
-        counts = Y.sum(axis=0)
-        node.proba = counts / counts.sum()
-        if (
-            depth >= self.max_depth
-            or len(X) < self.min_samples_split
-            or (counts > 0).sum() == 1
-        ):
-            return node
-        p = X.shape[1]
-        if self.max_features is not None and self.max_features < p:
-            feat_ids = rng.choice(p, size=self.max_features, replace=False)
-        else:
-            feat_ids = np.arange(p)
-        j, thr, gain = _best_split_gini(X, Y, feat_ids)
-        if gain <= 0:
-            return node
-        mask = X[:, j] <= thr
-        node.feature, node.threshold = j, thr
-        node.left = self._grow(X[mask], Y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], Y[~mask], depth + 1, rng)
-        return node
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._root is None:

@@ -8,15 +8,25 @@ two facing extreme samples are taken: the arg-max of that feature in the
 lower ball and the arg-min in the upper ball — the samples closest to
 the class boundary along that axis. The union over all dimensions (no
 duplicates) is the sampled dataset.
+
+Both facing extremes of a ball depend only on the ball and the dimension,
+so ``ball_extremes`` computes them once for every ball and dimension: a
+``(n_balls, p)`` table of first-occurrence arg-max rows (``top``) and one
+of arg-min rows (``bot``), with segmented ``reduceat`` passes over the
+concatenated members. Extraction is then one gather of ``top[lower, dim]``
+and ``bot[upper, dim]`` over all borderline pairs. The distributed variant
+(``spark_gbabs``) ships the same table per shard.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .granular_ball import GBSet
 from .rdgbg import rd_gbg
 
-__all__ = ["borderline_pairs", "gbabs_from_balls", "gbabs_sample"]
+__all__ = ["ball_extremes", "borderline_pairs", "gbabs_from_balls", "gbabs_sample"]
 
 
 def borderline_pairs(
@@ -35,28 +45,46 @@ def borderline_pairs(
         order = np.lexsort((np.arange(m), centers[:, dim]))
         lo, hi = order[:-1], order[1:]
         het = labels[lo] != labels[hi]
-        out.extend((dim, int(a), int(b)) for a, b in zip(lo[het], hi[het]))
+        out.extend(zip(itertools.repeat(dim), lo[het].tolist(), hi[het].tolist()))
     return out
+
+
+def ball_extremes(X: np.ndarray, gbset: GBSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per ball and dimension, the rows holding the max and the min value.
+
+    Returns ``(top, bot)``, each ``(n_balls, p)`` int64 row indices into
+    ``X``: ``top[b, d]`` is ``idx[np.argmax(X[idx, d])]`` for ball ``b``'s
+    member rows ``idx`` and ``bot[b, d]`` the same with ``argmin`` — the
+    first member in ``idx`` order that attains the extreme.
+    """
+    rows = np.concatenate([b.idx for b in gbset.balls])
+    sizes = np.array([len(b.idx) for b in gbset.balls])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    V = X[rows]  # (members, p), each ball's members contiguous
+    pos = np.arange(len(rows))[:, None]
+    none = len(rows)
+
+    def first(reduce: np.ufunc) -> np.ndarray:
+        hit = V == np.repeat(reduce.reduceat(V, starts, axis=0), sizes, axis=0)
+        return rows[np.minimum.reduceat(np.where(hit, pos, none), starts, axis=0)]
+
+    return first(np.maximum), first(np.minimum)
 
 
 def gbabs_from_balls(X: np.ndarray, gbset: GBSet) -> np.ndarray:
     """Borderline sample rows (sorted, unique) for a pre-built ball set."""
     if len(gbset) == 0:
         return np.array([], dtype=np.int64)
-    centers = gbset.centers()
-    labels = gbset.labels()
-    picked: set[int] = set()
-    for dim, a, b in borderline_pairs(centers, labels):
-        ia = gbset.balls[a].idx
-        ib = gbset.balls[b].idx
-        picked.add(int(ia[np.argmax(X[ia, dim])]))  # lower ball, facing up
-        picked.add(int(ib[np.argmin(X[ib, dim])]))  # upper ball, facing down
-    if not picked:
+    pairs = borderline_pairs(gbset.centers(), gbset.labels())
+    if not pairs:
         # Degenerate single-class input: no boundary exists. Keep one
         # representative (the center) per ball so downstream training has
         # data; documented deviation for a case the paper never hits.
-        picked = {int(b.idx[0]) for b in gbset.balls}
-    return np.array(sorted(picked), dtype=np.int64)
+        return np.unique([b.idx[0] for b in gbset.balls]).astype(np.int64)
+    dim, lo, hi = np.array(pairs).T
+    top, bot = ball_extremes(X, gbset)
+    # lower ball's max facing up, upper ball's min facing down
+    return np.unique(np.concatenate([top[lo, dim], bot[hi, dim]])).astype(np.int64)
 
 
 def gbabs_sample(

@@ -8,7 +8,8 @@ Algorithm 2 needs from a ball is known in the task that builds it:
   ``mapInPandas`` and emits the **ball table**, one row per ball:
   ``ball_key`` (``partition << 32 | ball``), ``label``, the ``center``
   coordinates, and per dimension the ``_sid`` of the ball's arg-max
-  (``top``) and arg-min (``bot``) member — its two facing extremes.
+  (``top``) and arg-min (``bot``) member — its two facing extremes, from
+  the numpy reference's ``ball_extremes``.
   Class-noise rows detected by RD-GBG belong to no ball.
 * ``borderline_pairs_df`` — explodes the ball table to one row per
   ``(dim, val)`` and finds, per dimension, adjacent centers with
@@ -37,6 +38,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
+from .gbabs import ball_extremes
 from .rdgbg import rd_gbg
 
 __all__ = [
@@ -86,13 +88,14 @@ def granulate_partitions(
         gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
         if len(gbset) == 0:
             return
+        top, bot = ball_extremes(X, gbset)
         yield pd.DataFrame(
             {
                 "ball_key": (pid << 32) | np.arange(len(gbset), dtype=np.int64),
                 "label": gbset.labels().astype(np.int64),
                 "center": list(gbset.centers()),
-                "top": [sids[b.idx[np.argmax(X[b.idx], axis=0)]] for b in gbset.balls],
-                "bot": [sids[b.idx[np.argmin(X[b.idx], axis=0)]] for b in gbset.balls],
+                "top": list(sids[top]),
+                "bot": list(sids[bot]),
             }
         )
 

@@ -1,6 +1,8 @@
 """Tests for the from-scratch classifier substrate."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classifiers import CLASSIFIER_NAMES, make_classifier
 from repro.classifiers.forest import RandomForestClassifier
@@ -8,6 +10,7 @@ from repro.classifiers.gbdt import LightGBMLikeClassifier, XGBoostLikeClassifier
 from repro.classifiers.knn import KNNClassifier
 from repro.classifiers.tree import DecisionTreeClassifier
 from repro.datasets.generators import make_blobs_classification
+from repro.datasets.registry import load_dataset
 
 
 def _easy(q=2, n=400, p=4, seed=0):
@@ -155,3 +158,163 @@ class TestGBDT:
         for cls in (XGBoostLikeClassifier, LightGBMLikeClassifier):
             acc = (cls(n_rounds=10).fit(X, y).predict(X) == y).mean()
             assert acc > 0.95
+
+
+# --- CART equivalence: presorted all-feature scan vs per-node argsort ---
+
+
+def _oracle_best_split(X, Y, feat_ids):
+    """Per-node, per-feature stable-argsort split search (reference)."""
+    n, q = Y.shape
+    total = Y.sum(axis=0)
+    gini_parent = 1.0 - ((total / n) ** 2).sum()
+    best = (-1, 0.0, -1.0)
+    for j in feat_ids:
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = Y[order]
+        valid = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        if len(valid) == 0:
+            continue
+        left_counts = np.cumsum(ys, axis=0)[valid - 1]
+        nl = valid.astype(np.float64)
+        nr = n - nl
+        right_counts = total[None, :] - left_counts
+        gini_l = 1.0 - ((left_counts / nl[:, None]) ** 2).sum(1)
+        gini_r = 1.0 - ((right_counts / nr[:, None]) ** 2).sum(1)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        i = int(np.argmin(weighted))
+        gain = gini_parent - weighted[i]
+        if gain > best[2] + 1e-12:
+            pos = valid[i]
+            best = (int(j), float(0.5 * (xs[pos - 1] + xs[pos])), float(gain))
+    return best
+
+
+def _oracle_tree(X, y, max_depth=None, min_samples_split=2, max_features=None, seed=0):
+    """Preorder ``(feature, threshold, proba)`` of a recursively grown CART."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, y_enc = np.unique(y, return_inverse=True)
+    Y = np.zeros((len(y), len(classes)))
+    Y[np.arange(len(y)), y_enc] = 1.0
+    rng = np.random.default_rng(seed)
+    max_depth = 10**9 if max_depth is None else max_depth
+    out = []
+
+    def grow(Xn, Yn, depth):
+        counts = Yn.sum(axis=0)
+        rec = [-1, 0.0, counts / counts.sum()]
+        out.append(rec)
+        if depth >= max_depth or len(Xn) < min_samples_split or (counts > 0).sum() == 1:
+            return
+        p = Xn.shape[1]
+        if max_features is not None and max_features < p:
+            feat_ids = rng.choice(p, size=max_features, replace=False)
+        else:
+            feat_ids = np.arange(p)
+        j, thr, gain = _oracle_best_split(Xn, Yn, feat_ids)
+        if gain <= 0:
+            return
+        rec[0], rec[1] = j, thr
+        mask = Xn[:, j] <= thr
+        grow(Xn[mask], Yn[mask], depth + 1)
+        grow(Xn[~mask], Yn[~mask], depth + 1)
+
+    grow(X, Y, 0)
+    return out
+
+
+def _preorder(clf):
+    out, stack = [], [clf._root]
+    while stack:
+        node = stack.pop()
+        out.append([node.feature, node.threshold, node.proba])
+        if node.left is not None:
+            stack += [node.right, node.left]
+    return out
+
+
+def _assert_same_tree(got, want):
+    assert len(got) == len(want)
+    for (f, t, pr), (fo, to, pro) in zip(got, want):
+        assert f == fo and t == to
+        assert pr.shape == pro.shape and pr.tobytes() == pro.tobytes()
+
+
+def _check_tree(X, y, **kw):
+    clf = DecisionTreeClassifier(**kw).fit(X, y)
+    _assert_same_tree(_preorder(clf), _oracle_tree(X, y, **kw))
+
+
+class TestPresortedCartEquivalence:
+    @pytest.mark.parametrize("q", [1, 2, 10])
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_blobs_match_per_node_argsort(self, q, p):
+        rng = np.random.default_rng(10 * q + p)
+        X = rng.normal(0, 1, (300, p))
+        y = rng.integers(0, q, 300)
+        _check_tree(X, y)
+
+    def test_duplicate_rows_and_tied_values(self):
+        rng = np.random.default_rng(1)
+        base = np.round(rng.normal(0, 1, (60, 3)), 1)  # many ties per column
+        X = np.concatenate([base, base[:40], base[:20]])  # duplicated rows
+        y = rng.integers(0, 3, len(X))  # duplicates may disagree on the label
+        _check_tree(X, y)
+
+    def test_integer_valued_columns(self):
+        rng = np.random.default_rng(2)
+        X = rng.integers(0, 4, (400, 5)).astype(float)
+        y = (X[:, 0] + rng.integers(0, 2, 400)) % 3
+        _check_tree(X, y)
+
+    @pytest.mark.parametrize("depth, split", [(2, 2), (4, 10), (None, 25)])
+    def test_stopping_rules(self, depth, split):
+        X, y = _easy(q=3, n=300, seed=3)
+        _check_tree(X, y, max_depth=depth, min_samples_split=split)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_forest_feature_draws_on_bootstraps(self, seed):
+        X, y, _ = load_dataset("S1", noise_ratio=0.2, noise_seed=seed)
+        X, y = X[:600], y[:600]
+        forest = RandomForestClassifier(n_estimators=3, seed=seed).fit(X, y)
+        rng = np.random.default_rng(seed)
+        k = max(1, int(np.sqrt(X.shape[1])))
+        for t, tree in enumerate(forest._trees):
+            idx = rng.integers(0, len(X), len(X))  # bootstrap, with duplicates
+            want = _oracle_tree(X[idx], y[idx], max_features=k, seed=seed * 1000 + t)
+            _assert_same_tree(_preorder(tree), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 5),
+        q=st.integers(1, 4),
+        levels=st.integers(2, 6),
+        max_features=st.one_of(st.none(), st.integers(1, 5)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_inputs(self, n, p, q, levels, max_features, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, (n, p)) * 0.5 - 1.0  # coarse grid: ties
+        y = rng.integers(0, q, n)
+        _check_tree(X, y, max_features=max_features, seed=seed)
+
+
+def test_deep_tree_fits_without_recursion():
+    """A chain-shaped tree deeper than Python's recursion limit."""
+    X = np.arange(2500.0)[:, None]
+    y = np.arange(2500) % 2
+    clf = DecisionTreeClassifier().fit(X, y)
+    assert (clf.predict(X) == y).all()
+
+
+def test_threshold_between_adjacent_floats_separates():
+    # The midpoint of two adjacent floats can round up to the upper value;
+    # the split must still send the lower row left and the upper row right.
+    lo = 1.0 + 2.0**-52
+    X = np.array([[lo], [np.nextafter(lo, 2.0)]])
+    y = np.array([0, 1])
+    clf = DecisionTreeClassifier().fit(X, y)
+    assert clf._root.left is not None
+    assert (clf.predict(X) == y).all()

@@ -2,7 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.core.gbabs import borderline_pairs, gbabs_from_balls, gbabs_sample
+from repro.core.gbabs import (
+    ball_extremes,
+    borderline_pairs,
+    gbabs_from_balls,
+    gbabs_sample,
+)
 from repro.core.granular_ball import GBSet, GranularBall
 from repro.core.rdgbg import rd_gbg
 from repro.datasets.generators import make_blobs_classification
@@ -124,3 +129,62 @@ class TestGbabsSample:
         base = len(gbabs_sample(X, y, rho=5, seed=0)[0]) / len(X)
         r = len(gbabs_sample(X, y, rho=rho, seed=0)[0]) / len(X)
         assert abs(r - base) < 0.25
+
+
+# --- Extraction equivalence: ball-extreme table vs per-pair arg-max/min ---
+
+
+def _oracle_extraction(X, gbset):
+    """Per-pair ``argmax``/``argmin`` over each ball's members (reference)."""
+    if len(gbset) == 0:
+        return np.array([], dtype=np.int64)
+    picked = set()
+    for dim, a, b in borderline_pairs(gbset.centers(), gbset.labels()):
+        ia, ib = gbset.balls[a].idx, gbset.balls[b].idx
+        picked.add(int(ia[np.argmax(X[ia, dim])]))
+        picked.add(int(ib[np.argmin(X[ib, dim])]))
+    if not picked:
+        picked = {int(b.idx[0]) for b in gbset.balls}
+    return np.array(sorted(picked), dtype=np.int64)
+
+
+def _assert_extremes_match(X, gbset):
+    top, bot = ball_extremes(X, gbset)
+    assert top.shape == bot.shape == (len(gbset), X.shape[1])
+    for k, b in enumerate(gbset.balls):
+        assert np.array_equal(top[k], b.idx[np.argmax(X[b.idx], axis=0)])
+        assert np.array_equal(bot[k], b.idx[np.argmin(X[b.idx], axis=0)])
+
+
+class TestExtractionEquivalence:
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("name", [f"S{i}" for i in range(1, 14)])
+    def test_registry_matches_per_pair_oracle(self, name, noise):
+        X, y, _ = load_dataset(name, noise_ratio=noise, noise_seed=1)
+        gbset = rd_gbg(X, y, rho=5, seed=0)
+        got = gbabs_from_balls(X, gbset)
+        want = _oracle_extraction(X, gbset)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        _assert_extremes_match(X, gbset)
+
+    def test_tied_members_take_first_occurrence(self):
+        # Integer grid: every ball has ties on its extremes in every dim.
+        X = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0],
+                      [5.0, 5.0], [5.0, 5.0], [6.0, 4.0]])
+        balls = [
+            GranularBall(center=X[2], radius=1.5, label=0, idx=np.array([2, 0, 1, 3])),
+            GranularBall(center=X[5], radius=1.5, label=1, idx=np.array([5, 4, 6])),
+        ]
+        gbset = GBSet(balls=balls)
+        top, bot = ball_extremes(X, gbset)
+        assert top.tolist() == [[2, 0], [6, 5]]
+        assert bot.tolist() == [[0, 2], [5, 6]]
+        _assert_extremes_match(X, gbset)
+        assert np.array_equal(gbabs_from_balls(X, gbset), _oracle_extraction(X, gbset))
+
+    def test_single_class_fallback_matches_oracle(self):
+        X = np.random.default_rng(0).normal(0, 1, (30, 2))
+        gbset = rd_gbg(X, np.zeros(30, dtype=int), rho=5, seed=0)
+        got = gbabs_from_balls(X, gbset)
+        assert np.array_equal(got, _oracle_extraction(X, gbset))
+        assert got.tolist() == sorted(b.idx[0] for b in gbset.balls)
