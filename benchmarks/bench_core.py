@@ -53,10 +53,13 @@ def test_bench_gbabs_spark_distributed(benchmark, spark, s5):
 
     X, y = s5
     df = to_spark_df(spark, X, y).cache()
-    df.count()
+    try:
+        df.count()
 
-    def run():
-        return gbabs_sample_df(df, rho=5, seed=0, num_partitions=4).count()
+        def run():
+            return gbabs_sample_df(df, rho=5, seed=0, num_partitions=4).count()
 
-    n = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+        n = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    finally:
+        df.unpersist()
     assert 0 < n < len(X)

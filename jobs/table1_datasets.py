@@ -5,6 +5,8 @@ kept as a job for uniformity; also verifies every analog materialises).
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.datasets.registry import REGISTRY, load_dataset
 from repro.harness.tables import table1
 
@@ -14,9 +16,7 @@ def main() -> None:
     # Materialise every analog once so the roster is backed by real data.
     extra = []
     for name in REGISTRY:
-        X, y, spec = load_dataset(name)
-        import numpy as np
-
+        _, y, _ = load_dataset(name)
         _, counts = np.unique(y, return_counts=True)
         extra.append(round(counts.max() / counts.min(), 2))
     t["IR(ours)"] = extra

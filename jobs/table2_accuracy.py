@@ -29,7 +29,6 @@ def main() -> None:
         spark,
         datasets=datasets,
         noises=[0.0],
-        methods=["GBABS", "GGBS", "SRS", "none"],
         classifiers=["DT"],
         reps=args.reps,
     ).cache()

@@ -27,7 +27,6 @@ def main() -> None:
         results = run_grid(
             spark,
             noises=[0.0],
-            methods=["GBABS", "GGBS", "SRS", "none"],
             classifiers=["DT"],
         )
     print("\n=== Table III: Wilcoxon signed-rank test results ===")

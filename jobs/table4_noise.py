@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 
+from repro.classifiers import CLASSIFIER_NAMES
 from repro.harness.grid import run_grid
 from repro.harness.session import get_session
 from repro.harness.tables import table4
@@ -23,7 +24,7 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=1)
     ap.add_argument("--datasets", type=str, default="")
     ap.add_argument("--noises", type=str, default="0.05,0.1,0.2,0.3,0.4")
-    ap.add_argument("--classifiers", type=str, default="DT,XGBoost,LightGBM,kNN,RF")
+    ap.add_argument("--classifiers", type=str, default=",".join(CLASSIFIER_NAMES))
     ap.add_argument("--out", type=str, default="results/table4_results.parquet")
     args = ap.parse_args()
 
@@ -32,7 +33,6 @@ def main() -> None:
         spark,
         datasets=args.datasets.split(",") if args.datasets else None,
         noises=[float(z) for z in args.noises.split(",")],
-        methods=["GBABS", "GGBS", "SRS", "none"],
         classifiers=args.classifiers.split(","),
         reps=args.reps,
     ).cache()

@@ -1,4 +1,4 @@
-"""k-division granular-ball generation — the GBG stage of GGBS/IGBS.
+"""k-division granular-ball generation — the GBG stage of GGBS.
 
 Re-implements the method the paper describes in §III-B (from Xia et al.):
 start from one ball covering the dataset; while a ball's purity is below

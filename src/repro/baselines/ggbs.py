@@ -1,18 +1,11 @@
-"""GGBS and IGBS undersampling (§III-B of the paper; Xia et al. TNNLS'23).
+"""GGBS undersampling (§III-B of the paper; Xia et al. TNNLS'23).
 
-Both run on the k-division ball set. A ball is *small* if it holds at
-most ``2p`` samples, else *large*.
-
-GGBS: keep every sample of small balls; from each large ball keep, for
-each of the ``2p`` intersection points of the ball surface with the
-coordinate axes through its center (``c ± r·e_j``), the homogeneous
-sample (label == ball label) closest to that point.
-
-IGBS: small balls as above; large *minority*-labelled balls contribute
-all their minority samples; large *majority*-labelled balls are sampled
-like GGBS; if the majority then ends up under-represented in S, random
-extra majority samples are added until it matches the largest minority
-class ("randomly sample more majority samples", §III-B).
+GGBS runs on the k-division ball set. A ball is *small* if it holds at
+most ``2p`` samples, else *large*. Keep every sample of small balls;
+from each large ball keep, for each of the ``2p`` intersection points of
+the ball surface with the coordinate axes through its center
+(``c ± r·e_j``), the homogeneous sample (label == ball label) closest to
+that point.
 """
 from __future__ import annotations
 
@@ -21,7 +14,7 @@ import numpy as np
 from ..core.granular_ball import GBSet, GranularBall
 from .gbg_kdivision import k_division_gbg
 
-__all__ = ["ggbs_indices", "ggbs", "igbs"]
+__all__ = ["ggbs_indices", "ggbs"]
 
 
 def _axis_samples(X: np.ndarray, ball: GranularBall, y: np.ndarray) -> np.ndarray:
@@ -63,39 +56,4 @@ def ggbs(
     X: np.ndarray, y: np.ndarray, purity_threshold: float = 1.0, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     idx, _ = ggbs_indices(X, y, purity_threshold, seed)
-    return X[idx], y[idx]
-
-
-def igbs(
-    X: np.ndarray, y: np.ndarray, purity_threshold: float = 1.0, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """IGBS for imbalanced data (binary or multi-class, majority = largest)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    gbset = k_division_gbg(X, y, purity_threshold=purity_threshold, seed=seed)
-    p = X.shape[1]
-    classes, counts = np.unique(y, return_counts=True)
-    majority = classes[np.argmax(counts)]
-    picked: list[np.ndarray] = []
-    for ball in gbset.balls:
-        if ball.n_samples <= 2 * p:
-            picked.append(ball.idx)
-        elif ball.label != majority:
-            picked.append(ball.idx[y[ball.idx] == ball.label])
-        else:
-            picked.append(_axis_samples(X, ball, y))
-    idx = np.unique(np.concatenate(picked)) if picked else np.array([], dtype=np.int64)
-    # Rebalance: top-up majority to the largest minority count in S.
-    sampled_y = y[idx]
-    maj_in_s = int((sampled_y == majority).sum())
-    minority_max = max(
-        (int((sampled_y == c).sum()) for c in classes if c != majority), default=0
-    )
-    if maj_in_s < minority_max:
-        rng = np.random.default_rng(seed)
-        pool = np.setdiff1d(np.flatnonzero(y == majority), idx)
-        extra = rng.choice(
-            pool, size=min(minority_max - maj_in_s, len(pool)), replace=False
-        )
-        idx = np.unique(np.concatenate([idx, extra]))
     return X[idx], y[idx]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GranularBall", "GBSet", "pairwise_sq_dists"]
+__all__ = ["GranularBall", "GBSet"]
 
 
 @dataclass
@@ -64,13 +64,3 @@ class GBSet:
         if not self.balls:
             return np.array([], dtype=np.int64)
         return np.unique(np.concatenate([b.idx for b in self.balls]))
-
-
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) squared Euclidean distances, numerically clipped."""
-    d2 = (
-        (A * A).sum(1)[:, None]
-        - 2.0 * (A @ B.T)
-        + (B * B).sum(1)[None, :]
-    )
-    return np.maximum(d2, 0.0)

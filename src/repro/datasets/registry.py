@@ -2,10 +2,10 @@
 
 Each spec records the paper's published (samples, features, classes, IR)
 and our scaled-down analog parameters (``N <= 2000``, ``p <= 32`` — see
-DESIGN.md § Dataset scaling). ``cat_dims`` marks features treated as
-categorical by SMOTENC-style samplers: the generated values in those
-columns are quantised to a small integer alphabet, modelling datasets like
-Credit Approval and Car Evaluation whose features are nominal.
+DESIGN.md § Dataset scaling). ``cat_dims`` marks nominal features: the
+generated values in those columns are quantised to a small integer
+alphabet, modelling datasets like Credit Approval and Car Evaluation
+whose features are nominal.
 """
 from __future__ import annotations
 
@@ -109,7 +109,8 @@ def _quantise_categorical(X: np.ndarray, cat_dims: tuple[int, ...], levels: int 
     """Bin the given columns into ``levels`` integer codes (equal-width).
 
     Keeps the geometry (codes are ordered by the underlying continuous
-    value) while giving SMOTENC genuine categorical columns to handle.
+    value) while making the columns nominal-like, as in Credit Approval
+    and Car Evaluation.
     """
     if not cat_dims:
         return X

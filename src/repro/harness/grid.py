@@ -22,10 +22,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines.ggbs import ggbs, igbs
+from ..baselines.ggbs import ggbs
 from ..baselines.simple import srs
-from ..baselines.smote import borderline_smote, smote, smotenc
-from ..baselines.tomek import tomek
 from ..classifiers import accuracy, g_mean, make_classifier
 from ..core.gbabs import gbabs_sample
 from ..datasets.registry import REGISTRY, load_dataset
@@ -33,7 +31,6 @@ from ..stats.crossval import stratified_kfold
 
 __all__ = [
     "DEFAULT_METHODS",
-    "ALL_METHODS",
     "RESULT_SCHEMA",
     "run_fold_task",
     "build_task_grid",
@@ -41,8 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_METHODS = ["GBABS", "GGBS", "SRS", "none"]
-# Extended roster for the imbalanced comparison (paper Fig. 9 family).
-ALL_METHODS = DEFAULT_METHODS + ["IGBS", "SM", "BSM", "SMNC", "Tomek"]
 
 RESULT_SCHEMA = (
     "dataset string, noise double, rep long, fold long, method string, "
@@ -62,7 +57,6 @@ def _apply_method(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    cat_dims: tuple[int, ...],
     rho: int,
     gbabs_ratio: float | None,
     seed: int,
@@ -73,22 +67,12 @@ def _apply_method(
         return X[idx], y[idx]
     if method == "GGBS":
         return ggbs(X, y, purity_threshold=1.0, seed=seed)
-    if method == "IGBS":
-        return igbs(X, y, purity_threshold=1.0, seed=seed)
     if method == "SRS":
         if gbabs_ratio is None:
             raise ValueError("SRS requires the GBABS ratio — run GBABS first")
         return srs(X, y, ratio=gbabs_ratio, seed=seed)
     if method == "none":
         return X, y
-    if method == "SM":
-        return smote(X, y, seed=seed)
-    if method == "BSM":
-        return borderline_smote(X, y, seed=seed)
-    if method == "SMNC":
-        return smotenc(X, y, cat_dims, seed=seed)
-    if method == "Tomek":
-        return tomek(X, y)
     raise ValueError(f"unknown sampling method {method!r}")
 
 
@@ -108,7 +92,7 @@ def run_fold_task(
 
     methods = list(methods or DEFAULT_METHODS)
     classifiers = list(classifiers or CLASSIFIER_NAMES)
-    X, y, spec = load_dataset(dataset, noise_ratio=noise, noise_seed=rep)
+    X, y, _ = load_dataset(dataset, noise_ratio=noise, noise_seed=rep)
     folds = stratified_kfold(y, n_splits=n_splits, seed=rep)
     tr_idx, te_idx = folds[fold]
     X_tr, y_tr = X[tr_idx], y[tr_idx]
@@ -121,13 +105,7 @@ def run_fold_task(
     rows = []
     for method in ordered:
         X_s, y_s = _apply_method(
-            method,
-            X_tr,
-            y_tr,
-            cat_dims=spec.cat_dims,
-            rho=rho,
-            gbabs_ratio=gbabs_ratio,
-            seed=seed,
+            method, X_tr, y_tr, rho=rho, gbabs_ratio=gbabs_ratio, seed=seed
         )
         ratio = len(X_s) / len(X_tr)
         if method == "GBABS":

@@ -12,12 +12,12 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..classifiers import CLASSIFIER_NAMES
 from ..datasets.registry import REGISTRY
 from ..stats.wilcoxon import wilcoxon_signed_rank
+from .grid import DEFAULT_METHODS
 
 __all__ = ["table1", "table2", "table3", "table4"]
-
-_METHOD_ORDER = ["GBABS", "GGBS", "SRS", "none"]
 
 
 def table1() -> pd.DataFrame:
@@ -49,7 +49,7 @@ def _dataset_method_accuracy(results: DataFrame, classifier: str) -> pd.DataFram
     pdf = agg.toPandas()
     wide = pdf.pivot(index="dataset", columns="method", values="accuracy")
     order = [d for d in REGISTRY if d in wide.index]
-    cols = [m for m in _METHOD_ORDER if m in wide.columns]
+    cols = [m for m in DEFAULT_METHODS if m in wide.columns]
     return wide.loc[order, cols]
 
 
@@ -111,8 +111,8 @@ def table4(results: DataFrame) -> pd.DataFrame:
     wide = pdf.pivot(index="row", columns="noise", values="accuracy")
     wide.columns = [f"{int(round(n * 100))}%" for n in wide.columns]
     row_order = []
-    for clf in ["DT", "XGBoost", "LightGBM", "kNN", "RF"]:
-        for m in _METHOD_ORDER:
+    for clf in CLASSIFIER_NAMES:
+        for m in DEFAULT_METHODS:
             name = clf if m == "none" else f"{m}-{clf}"
             if name in wide.index:
                 row_order.append(name)

@@ -1,4 +1,4 @@
-"""Tests for the k-division GBG baseline (GGBS/IGBS granulation stage)."""
+"""Tests for the k-division GBG baseline (GGBS granulation stage)."""
 import numpy as np
 import pytest
 

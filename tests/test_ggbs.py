@@ -1,17 +1,16 @@
-"""Tests for the GGBS and IGBS undersampling baselines."""
+"""Tests for the GGBS undersampling baseline."""
 import numpy as np
 import pytest
 
 from repro.baselines.gbg_kdivision import k_division_gbg
-from repro.baselines.ggbs import ggbs, ggbs_indices, igbs
+from repro.baselines.ggbs import ggbs, ggbs_indices
 from repro.datasets.generators import make_blobs_classification
 from repro.datasets.registry import load_dataset
 
 
-def _blobs(n=500, p=3, q=2, sep=3.0, ir=1.0, seed=0):
+def _blobs(n=500, p=3, q=2, sep=3.0, seed=0):
     return make_blobs_classification(
-        n_samples=n, n_features=p, n_classes=q, class_sep=sep,
-        imbalance_ratio=ir, seed=seed,
+        n_samples=n, n_features=p, n_classes=q, class_sep=sep, seed=seed
     )
 
 
@@ -66,28 +65,3 @@ class TestGGBS:
         X, y, _ = load_dataset("S7")
         Xs, _ = ggbs(X, y, seed=0)
         assert len(Xs) / len(X) > 0.9
-
-
-class TestIGBS:
-    def test_minority_fully_retained_in_large_minority_balls(self):
-        X, y = _blobs(n=600, ir=5.0, seed=5)
-        Xs, ys = igbs(X, y, seed=5)
-        # minority count in the sample can't exceed the original but must
-        # be a meaningful fraction of it
-        classes, counts = np.unique(y, return_counts=True)
-        minority = classes[np.argmin(counts)]
-        assert (ys == minority).sum() >= 0.5 * counts.min()
-
-    def test_reduces_imbalance(self):
-        X, y = _blobs(n=800, ir=8.0, seed=6)
-        Xs, ys = igbs(X, y, seed=6)
-        _, c0 = np.unique(y, return_counts=True)
-        _, c1 = np.unique(ys, return_counts=True)
-        assert (c1.max() / c1.min()) <= (c0.max() / c0.min()) + 1e-9
-
-    def test_subset_of_original_rows(self):
-        X, y = _blobs(seed=7)
-        Xs, ys = igbs(X, y, seed=7)
-        # every sampled row exists in X (undersampling: no synthesis)
-        orig = {tuple(r) for r in np.round(X, 9)}
-        assert all(tuple(r) in orig for r in np.round(Xs, 9))

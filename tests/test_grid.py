@@ -54,14 +54,19 @@ class TestFoldTask:
         b = run_fold_task("S2", 0.3, 0, 0, methods=["none"], classifiers=["DT"])
         assert b["accuracy"].iloc[0] < a["accuracy"].iloc[0]
 
-    def test_extended_methods_run(self):
-        rows = run_fold_task(
-            "S2", 0.0, 0, 0,
-            methods=["GBABS", "IGBS", "SM", "BSM", "SMNC", "Tomek"],
-            classifiers=["DT"],
-        )
-        assert len(rows) == 6
-        assert rows["accuracy"].between(0, 1).all()
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("SM", "unknown sampling method"),
+            ("IGBS", "unknown sampling method"),
+            ("Tomek", "unknown sampling method"),
+            ("SRS", "requires the GBABS ratio"),
+        ],
+    )
+    def test_unknown_or_unordered_method_raises(self, method, message):
+        """Only the tables' methods dispatch; SRS needs GBABS in the same task."""
+        with pytest.raises(ValueError, match=message):
+            run_fold_task("S2", 0.0, 0, 0, methods=[method], classifiers=["DT"])
 
 
 class TestTaskGrid:
@@ -78,7 +83,7 @@ class TestTaskGrid:
 @pytest.fixture(scope="module")
 def small_results(spark):
     """A small but real grid: 2 datasets x {0, 20%} noise x 2 folds x DT."""
-    return run_grid(
+    results = run_grid(
         spark,
         datasets=["S2", "S5"],
         noises=[0.0, 0.2],
@@ -86,6 +91,8 @@ def small_results(spark):
         classifiers=["DT"],
         n_splits=2,
     ).cache()
+    yield results
+    results.unpersist()
 
 
 class TestRunGrid:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.gbabs import gbabs_sample
 from repro.core.rdgbg import rd_gbg
 from repro.datasets.generators import make_blobs_classification
 from repro.datasets.registry import load_dataset
@@ -159,13 +160,23 @@ class TestEdgesAndValidation:
     p=st.integers(min_value=1, max_value=4),
     q=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10_000),
+    levels=st.none() | st.integers(min_value=2, max_value=4),
 )
-def test_property_invariants_random_data(n, p, q, seed):
-    """Purity + partition + non-overlap on arbitrary random datasets."""
+def test_property_invariants_random_data(n, p, q, seed, levels):
+    """Purity, partition, non-overlap, seed determinism and noise never
+    sampled, on random data; ``levels`` draws X from a small integer grid
+    so duplicate points and tied distances occur."""
     rng = np.random.default_rng(seed)
-    X = rng.random((n, p))
+    X = rng.random((n, p)) if levels is None else rng.integers(0, levels, (n, p)) * 1.0
     y = rng.integers(0, q, n)
     gbset = rd_gbg(X, y, rho=5, seed=seed)
+    sampled, again = gbabs_sample(X, y, rho=5, seed=seed)  # a second rd_gbg, same seed
+    assert len(again) == len(gbset)
+    for a, b in zip(again.balls, gbset.balls):
+        assert np.array_equal(a.idx, b.idx) and np.array_equal(a.center, b.center)
+        assert a.radius == b.radius and a.label == b.label
+    assert np.array_equal(again.noise_idx, gbset.noise_idx)
+    assert not np.isin(sampled, gbset.noise_idx).any()
     counts = np.zeros(n, dtype=int)
     for b in gbset.balls:
         assert (y[b.idx] == b.label).all()
