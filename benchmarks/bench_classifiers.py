@@ -1,12 +1,14 @@
 """Benchmarks for the classifier layer alone (no sampling, no Spark).
 
 One training fold of the 32-d, 10-class S13 analog, as the grid's fold
-task 0 of 5 sees it; CART and the random forest are the fits the Table II
-and Table IV grids spend most of their classifier time in.
+task 0 of 5 sees it; CART, the random forest and the two GBDTs are the
+fits the Table II and Table IV grids spend most of their classifier time
+in.
 """
 import pytest
 
 from repro.classifiers.forest import RandomForestClassifier
+from repro.classifiers.gbdt import LightGBMLikeClassifier, XGBoostLikeClassifier
 from repro.classifiers.tree import DecisionTreeClassifier
 from repro.datasets.registry import load_dataset
 from repro.stats.crossval import stratified_kfold
@@ -32,4 +34,12 @@ def test_bench_rf_fit(benchmark, s13_train):
     clf = benchmark.pedantic(
         RandomForestClassifier(seed=0).fit, args=(X, y), rounds=3, iterations=1
     )
+    assert len(clf._trees) == 30
+
+
+@pytest.mark.parametrize("cls", [XGBoostLikeClassifier, LightGBMLikeClassifier])
+def test_bench_gbdt_fit(benchmark, s13_train, cls):
+    """30 softmax boosting rounds, one tree per class per round (default limits)."""
+    X, y = s13_train
+    clf = benchmark.pedantic(cls().fit, args=(X, y), rounds=3, iterations=1)
     assert len(clf._trees) == 30

@@ -33,7 +33,7 @@ def make_classifier(name: str, seed: int = 0):
     if name == "kNN":
         return KNNClassifier(k=5)
     if name == "XGBoost":
-        return XGBoostLikeClassifier(seed=seed)
+        return XGBoostLikeClassifier()
     if name == "LightGBM":
-        return LightGBMLikeClassifier(seed=seed)
+        return LightGBMLikeClassifier()
     raise ValueError(f"unknown classifier {name!r}")

@@ -6,14 +6,18 @@ weights and gain-based splits
 
     gain = 1/2 * (G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda))
 
-over quantile-binned feature histograms. The two classes keep the
-signature difference between the real libraries:
+over quantile-binned feature histograms. One best-first grower builds
+every tree: it always splits the open leaf of highest gain, and stops at
+a depth limit or a leaf limit. The two classes set one limit each, which
+keeps the signature difference between the real libraries:
 
-* ``XGBoostLikeClassifier`` — level-wise growth to ``max_depth`` (default
-  3), learning rate 0.3 (xgboost defaults).
-* ``LightGBMLikeClassifier`` — leaf-wise best-first growth to
-  ``num_leaves`` (default 15), learning rate 0.1 (lightgbm defaults,
-  leaves scaled down with the datasets).
+* ``XGBoostLikeClassifier`` — depth-bounded growth to ``max_depth``
+  (default 3), learning rate 0.3 (xgboost defaults). With no leaf limit
+  every splittable node shallower than the depth limit is split, so the
+  tree is the one level-wise growth builds.
+* ``LightGBMLikeClassifier`` — leaf-bounded growth to ``num_leaves``
+  (default 15), learning rate 0.1 (lightgbm defaults, leaves scaled down
+  with the datasets).
 
 30 boosting rounds instead of 100 for the experiment grid's time budget
 (DESIGN.md). Binary problems are trained as 2-class softmax — equivalent
@@ -23,6 +27,7 @@ pairing.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -32,144 +37,106 @@ _N_BINS = 32
 _LAMBDA = 1.0
 
 
-def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Quantile-bin each column to uint8 codes; returns (codes, bin_edges)."""
-    n, p = X.shape
-    codes = np.empty((n, p), dtype=np.uint8)
-    edges: list[np.ndarray] = []
-    for j in range(p):
-        qs = np.quantile(X[:, j], np.linspace(0, 1, _N_BINS + 1)[1:-1])
-        e = np.unique(qs)
-        codes[:, j] = np.searchsorted(e, X[:, j], side="left").astype(np.uint8)
-        edges.append(e)
-    return codes, edges
-
-
-def _leaf_weight(G: float, H: float) -> float:
-    return -G / (H + _LAMBDA)
+def _bin(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """uint8 bin codes of ``X``: per column, the count of edges below each value."""
+    codes = np.empty(X.shape, dtype=np.uint8)
+    for j, e in enumerate(edges):
+        codes[:, j] = np.searchsorted(e, X[:, j], side="left")
+    return codes
 
 
 def _best_split_hist(
-    codes: np.ndarray, idx: np.ndarray, g: np.ndarray, h: np.ndarray
+    sub: np.ndarray, gs: np.ndarray, hs: np.ndarray, G: float, H: float
 ) -> tuple[float, int, int]:
-    """Best (gain, feature, bin) for the samples in ``idx``.
+    """Best (gain, feature, bin) of a node with codes ``sub`` and sums G, H.
 
-    Histogram per feature via bincount of g/h over bin codes, then a
-    prefix-sum scan over bin boundaries. Split sends codes <= bin left.
+    One bincount fills the ``(p, _N_BINS)`` histograms of all features:
+    feature j's codes are offset by ``j * _N_BINS`` and each row's g/h is
+    repeated p times to follow the row-major code block, so every bin sums
+    its rows in row order. A split sends codes <= bin left; the flat
+    argmax picks the first (feature, bin) of the highest gain.
     """
-    G = g[idx].sum()
-    H = h[idx].sum()
-    parent = G * G / (H + _LAMBDA)
-    best = (0.0, -1, -1)
-    sub = codes[idx]
-    gs = g[idx]
-    hs = h[idx]
-    for j in range(codes.shape[1]):
-        c = sub[:, j]
-        gh = np.bincount(c, weights=gs, minlength=_N_BINS)
-        hh = np.bincount(c, weights=hs, minlength=_N_BINS)
-        GL = np.cumsum(gh)[:-1]
-        HL = np.cumsum(hh)[:-1]
-        GR = G - GL
-        HR = H - HL
-        gains = 0.5 * (GL * GL / (HL + _LAMBDA) + GR * GR / (HR + _LAMBDA) - parent)
-        # forbid empty sides
-        valid = (HL > 1e-12) & (HR > 1e-12)
-        gains = np.where(valid, gains, -np.inf)
-        b = int(np.argmax(gains))
-        if gains[b] > best[0]:
-            best = (float(gains[b]), j, b)
-    return best
+    p = sub.shape[1]
+    flat = (sub + _N_BINS * np.arange(p)).ravel()
+    GL = np.bincount(flat, np.repeat(gs, p), p * _N_BINS).reshape(p, _N_BINS)
+    HL = np.bincount(flat, np.repeat(hs, p), p * _N_BINS).reshape(p, _N_BINS)
+    GL = GL.cumsum(axis=1)[:, :-1]
+    HL = HL.cumsum(axis=1)[:, :-1]
+    GR = G - GL
+    HR = H - HL
+    gains = 0.5 * (GL * GL / (HL + _LAMBDA) + GR * GR / (HR + _LAMBDA) - G * G / (H + _LAMBDA))
+    # forbid empty sides
+    gains = np.where((HL > 1e-12) & (HR > 1e-12), gains, -np.inf)
+    i = int(np.argmax(gains))
+    j, b = divmod(i, _N_BINS - 1)
+    return float(gains[j, b]), j, b
 
 
-class _RegTree:
-    """One boosted regression tree over pre-binned features."""
+def _grow(
+    codes: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: float, num_leaves: float
+) -> tuple[list[list], np.ndarray]:
+    """Best-first regression tree on binned ``codes``, gradients g, hessians h.
 
-    __slots__ = ("nodes",)
+    Returns ``(nodes, fitted)``: nodes are ``[feature, bin, left, right,
+    weight]`` (feature -1 marks a leaf) and ``fitted`` is every training
+    row's leaf weight. The open leaf of highest gain splits next; equal
+    gains go to the leaf made first.
+    """
+    nodes: list[list] = []
+    leaf_rows: dict[int, np.ndarray] = {}
+    heap: list[tuple[float, int, int, int, int]] = []
 
-    def __init__(self):
-        # node = (feature, bin, left, right, weight); feature=-1 → leaf
-        self.nodes: list[tuple[int, int, int, int, float]] = []
-
-    def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        out = np.empty(len(codes))
-        stack = [(0, np.arange(len(codes)))]
-        while stack:
-            ni, idx = stack.pop()
-            f, b, l, r, w = self.nodes[ni]
-            if f < 0:
-                out[idx] = w
-                continue
-            mask = codes[idx, f] <= b
-            stack.append((l, idx[mask]))
-            stack.append((r, idx[~mask]))
-        return out
-
-
-def _grow_levelwise(codes, idx, g, h, max_depth: int) -> _RegTree:
-    tree = _RegTree()
-
-    def build(idx, depth) -> int:
-        G, H = g[idx].sum(), h[idx].sum()
-        ni = len(tree.nodes)
-        tree.nodes.append((-1, -1, -1, -1, _leaf_weight(G, H)))
-        if depth >= max_depth or len(idx) < 2:
-            return ni
-        gain, f, b = _best_split_hist(codes, idx, g, h)
-        if f < 0 or gain <= 1e-12:
-            return ni
-        mask = codes[idx, f] <= b
-        l = build(idx[mask], depth + 1)
-        r = build(idx[~mask], depth + 1)
-        tree.nodes[ni] = (f, b, l, r, 0.0)
+    def add(rows: np.ndarray, depth: int) -> int:
+        ni = len(nodes)
+        gs, hs = g[rows], h[rows]
+        G, H = gs.sum(), hs.sum()
+        nodes.append([-1, -1, -1, -1, -G / (H + _LAMBDA)])
+        leaf_rows[ni] = rows
+        if depth < max_depth and len(rows) >= 2 and codes.shape[1] > 0:
+            gain, f, b = _best_split_hist(codes[rows], gs, hs, G, H)
+            if gain > 1e-12:
+                heapq.heappush(heap, (-gain, ni, f, b, depth))
         return ni
 
-    build(idx, 0)
-    return tree
+    add(np.arange(len(g)), 0)
+    while heap and len(leaf_rows) < num_leaves:
+        _, ni, f, b, depth = heapq.heappop(heap)
+        rows = leaf_rows.pop(ni)
+        left = codes[rows, f] <= b
+        nodes[ni][:4] = f, b, add(rows[left], depth + 1), add(rows[~left], depth + 1)
+    fitted = np.empty(len(g))
+    for ni, rows in leaf_rows.items():
+        fitted[rows] = nodes[ni][4]
+    return nodes, fitted
 
 
-def _grow_leafwise(codes, idx, g, h, num_leaves: int) -> _RegTree:
-    tree = _RegTree()
-    tree.nodes.append((-1, -1, -1, -1, _leaf_weight(g[idx].sum(), h[idx].sum())))
-    heap: list[tuple[float, int, int, object]] = []
-    counter = 0
-
-    def push(ni, sub):
-        nonlocal counter
-        if len(sub) < 2:
-            return
-        gain, f, b = _best_split_hist(codes, sub, g, h)
-        if f >= 0 and gain > 1e-12:
-            heapq.heappush(heap, (-gain, counter, ni, (f, b, sub)))
-            counter += 1
-
-    push(0, idx)
-    leaves = 1
-    while heap and leaves < num_leaves:
-        _, _, ni, (f, b, sub) = heapq.heappop(heap)
-        mask = codes[sub, f] <= b
-        li, ri = len(tree.nodes), len(tree.nodes) + 1
-        subl, subr = sub[mask], sub[~mask]
-        tree.nodes.append((-1, -1, -1, -1, _leaf_weight(g[subl].sum(), h[subl].sum())))
-        tree.nodes.append((-1, -1, -1, -1, _leaf_weight(g[subr].sum(), h[subr].sum())))
-        tree.nodes[ni] = (f, b, li, ri, 0.0)
-        leaves += 1
-        push(li, subl)
-        push(ri, subr)
-    return tree
+def _predict_tree(nodes: list[list], codes: np.ndarray) -> np.ndarray:
+    """Leaf weight of every row of ``codes`` in the tree ``nodes``."""
+    out = np.empty(len(codes))
+    stack = [(0, np.arange(len(codes)))]
+    while stack:
+        ni, idx = stack.pop()
+        f, b, l, r, w = nodes[ni]
+        if f < 0:
+            out[idx] = w
+            continue
+        mask = codes[idx, f] <= b
+        stack.append((l, idx[mask]))
+        stack.append((r, idx[~mask]))
+    return out
 
 
 class _SoftmaxGBDT:
+    max_depth: float = math.inf
+    num_leaves: float = math.inf
+
     def __init__(self, n_rounds: int, lr: float):
         self.n_rounds = n_rounds
         self.lr = lr
-        self._trees: list[list[_RegTree]] = []
+        self._trees: list[list[list]] = []
         self._classes: np.ndarray | None = None
         self._edges: list[np.ndarray] | None = None
         self._base: np.ndarray | None = None
-
-    def _grow(self, codes, idx, g, h) -> _RegTree:  # overridden
-        raise NotImplementedError
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
@@ -178,14 +145,15 @@ class _SoftmaxGBDT:
             raise ValueError("empty training set")
         self._classes, y_enc = np.unique(y, return_inverse=True)
         q = len(self._classes)
-        codes, self._edges = _bin_features(X)
+        qs = np.linspace(0, 1, _N_BINS + 1)[1:-1]
+        self._edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
+        codes = _bin(X, self._edges)
         n = len(X)
         onehot = np.zeros((n, q))
         onehot[np.arange(n), y_enc] = 1.0
         prior = onehot.mean(axis=0)
         self._base = np.log(np.maximum(prior, 1e-12))
         F = np.tile(self._base, (n, 1))
-        idx_all = np.arange(n)
         self._trees = []
         for _ in range(self.n_rounds):
             Fs = F - F.max(axis=1, keepdims=True)
@@ -195,28 +163,23 @@ class _SoftmaxGBDT:
             h = P * (1.0 - P)       # (n, q)
             round_trees = []
             for k in range(q):
-                tree = self._grow(codes, idx_all, g[:, k], np.maximum(h[:, k], 1e-6))
-                F[:, k] += self.lr * tree.predict_codes(codes)
-                round_trees.append(tree)
+                nodes, fitted = _grow(
+                    codes, g[:, k], np.maximum(h[:, k], 1e-6), self.max_depth, self.num_leaves
+                )
+                F[:, k] += self.lr * fitted
+                round_trees.append(nodes)
             self._trees.append(round_trees)
         return self
-
-    def _codes_for(self, X: np.ndarray) -> np.ndarray:
-        n, p = X.shape
-        codes = np.empty((n, p), dtype=np.uint8)
-        for j, e in enumerate(self._edges):
-            codes[:, j] = np.searchsorted(e, X[:, j], side="left").astype(np.uint8)
-        return codes
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self._trees:
             raise RuntimeError("fit before predict")
         X = np.asarray(X, dtype=np.float64)
-        codes = self._codes_for(X)
+        codes = _bin(X, self._edges)
         F = np.tile(self._base, (len(X), 1))
         for round_trees in self._trees:
-            for k, tree in enumerate(round_trees):
-                F[:, k] += self.lr * tree.predict_codes(codes)
+            for k, nodes in enumerate(round_trees):
+                F[:, k] += self.lr * _predict_tree(nodes, codes)
         Fs = F - F.max(axis=1, keepdims=True)
         P = np.exp(Fs)
         return P / P.sum(axis=1, keepdims=True)
@@ -226,24 +189,16 @@ class _SoftmaxGBDT:
 
 
 class XGBoostLikeClassifier(_SoftmaxGBDT):
-    """Level-wise second-order GBDT (xgboost-style defaults, scaled)."""
+    """Depth-bounded second-order GBDT (xgboost-style defaults, scaled)."""
 
-    def __init__(self, n_rounds: int = 30, lr: float = 0.3, max_depth: int = 3, seed: int = 0):
+    def __init__(self, n_rounds: int = 30, lr: float = 0.3, max_depth: int = 3):
         super().__init__(n_rounds, lr)
         self.max_depth = max_depth
-        self.seed = seed  # accepted for harness uniformity; training is deterministic
-
-    def _grow(self, codes, idx, g, h) -> _RegTree:
-        return _grow_levelwise(codes, idx, g, h, self.max_depth)
 
 
 class LightGBMLikeClassifier(_SoftmaxGBDT):
-    """Leaf-wise best-first GBDT (lightgbm-style defaults, scaled)."""
+    """Leaf-bounded best-first GBDT (lightgbm-style defaults, scaled)."""
 
-    def __init__(self, n_rounds: int = 30, lr: float = 0.1, num_leaves: int = 15, seed: int = 0):
+    def __init__(self, n_rounds: int = 30, lr: float = 0.1, num_leaves: int = 15):
         super().__init__(n_rounds, lr)
         self.num_leaves = num_leaves
-        self.seed = seed
-
-    def _grow(self, codes, idx, g, h) -> _RegTree:
-        return _grow_leafwise(codes, idx, g, h, self.num_leaves)

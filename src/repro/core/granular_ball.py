@@ -53,14 +53,5 @@ class GBSet:
     def centers(self) -> np.ndarray:
         return np.stack([b.center for b in self.balls])
 
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
-
     def labels(self) -> np.ndarray:
         return np.array([b.label for b in self.balls])
-
-    def covered_idx(self) -> np.ndarray:
-        """All source rows covered by some ball (sorted, unique)."""
-        if not self.balls:
-            return np.array([], dtype=np.int64)
-        return np.unique(np.concatenate([b.idx for b in self.balls]))

@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..baselines.ggbs import ggbs
 from ..baselines.simple import srs
-from ..classifiers import accuracy, g_mean, make_classifier
+from ..classifiers import CLASSIFIER_NAMES, accuracy, g_mean, make_classifier
 from ..core.gbabs import gbabs_sample
 from ..datasets.registry import REGISTRY, load_dataset
 from ..stats.crossval import stratified_kfold
@@ -88,8 +88,6 @@ def run_fold_task(
     rho: int = 5,
 ) -> pd.DataFrame:
     """Run one fold task and return its metric rows (plain Python core)."""
-    from ..classifiers import CLASSIFIER_NAMES
-
     methods = list(methods or DEFAULT_METHODS)
     classifiers = list(classifiers or CLASSIFIER_NAMES)
     X, y, _ = load_dataset(dataset, noise_ratio=noise, noise_seed=rep)

@@ -8,8 +8,6 @@ wants a broadcast join sets the threshold back for itself.
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
 
 __all__ = ["get_session"]
@@ -18,10 +16,7 @@ __all__ = ["get_session"]
 def get_session(app_name: str = "repro-job") -> SparkSession:
     return (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -1,4 +1,6 @@
 """Tests for the from-scratch classifier substrate."""
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.classifiers.knn import KNNClassifier
 from repro.classifiers.tree import DecisionTreeClassifier
 from repro.datasets.generators import make_blobs_classification
 from repro.datasets.registry import load_dataset
+from repro.stats.crossval import stratified_kfold
 
 
 def _easy(q=2, n=400, p=4, seed=0):
@@ -318,3 +321,183 @@ def test_threshold_between_adjacent_floats_separates():
     clf = DecisionTreeClassifier().fit(X, y)
     assert clf._root.left is not None
     assert (clf.predict(X) == y).all()
+
+
+# --- GBDT equivalence: one best-first grower vs per-feature level/leaf-wise ---
+
+
+def _oracle_gbdt_split(codes, idx, g, h):
+    """Per-feature histogram split search with a running best (reference)."""
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + 1.0)
+    best = (0.0, -1, -1)
+    sub, gs, hs = codes[idx], g[idx], h[idx]
+    for j in range(codes.shape[1]):
+        c = sub[:, j]
+        GL = np.cumsum(np.bincount(c, weights=gs, minlength=32))[:-1]
+        HL = np.cumsum(np.bincount(c, weights=hs, minlength=32))[:-1]
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (GL * GL / (HL + 1.0) + GR * GR / (HR + 1.0) - parent)
+        gains = np.where((HL > 1e-12) & (HR > 1e-12), gains, -np.inf)
+        b = int(np.argmax(gains))
+        if gains[b] > best[0]:
+            best = (float(gains[b]), j, b)
+    return best
+
+
+def _oracle_levelwise(codes, idx, g, h, max_depth):
+    nodes = []
+
+    def build(idx, depth):
+        ni = len(nodes)
+        nodes.append((-1, -1, -1, -1, -g[idx].sum() / (h[idx].sum() + 1.0)))
+        if depth >= max_depth or len(idx) < 2:
+            return ni
+        gain, f, b = _oracle_gbdt_split(codes, idx, g, h)
+        if f < 0 or gain <= 1e-12:
+            return ni
+        mask = codes[idx, f] <= b
+        left = build(idx[mask], depth + 1)
+        nodes[ni] = (f, b, left, build(idx[~mask], depth + 1), 0.0)
+        return ni
+
+    build(idx, 0)
+    return nodes
+
+
+def _oracle_leafwise(codes, idx, g, h, num_leaves):
+    def weight(sub):
+        return -g[sub].sum() / (h[sub].sum() + 1.0)
+
+    nodes = [(-1, -1, -1, -1, weight(idx))]
+    heap, counter = [], 0
+
+    def push(ni, sub):
+        nonlocal counter
+        if len(sub) < 2:
+            return
+        gain, f, b = _oracle_gbdt_split(codes, sub, g, h)
+        if f >= 0 and gain > 1e-12:
+            heapq.heappush(heap, (-gain, counter, ni, (f, b, sub)))
+            counter += 1
+
+    push(0, idx)
+    leaves = 1
+    while heap and leaves < num_leaves:
+        _, _, ni, (f, b, sub) = heapq.heappop(heap)
+        mask = codes[sub, f] <= b
+        li, ri = len(nodes), len(nodes) + 1
+        nodes += [(-1, -1, -1, -1, weight(sub[mask])), (-1, -1, -1, -1, weight(sub[~mask]))]
+        nodes[ni] = (f, b, li, ri, 0.0)
+        leaves += 1
+        push(li, sub[mask])
+        push(ri, sub[~mask])
+    return nodes
+
+
+def _oracle_predict_codes(nodes, codes):
+    out = np.empty(len(codes))
+    stack = [(0, np.arange(len(codes)))]
+    while stack:
+        ni, idx = stack.pop()
+        f, b, left, right, w = nodes[ni]
+        if f < 0:
+            out[idx] = w
+            continue
+        mask = codes[idx, f] <= b
+        stack += [(left, idx[mask]), (right, idx[~mask])]
+    return out
+
+
+def _oracle_gbdt_proba(X, y, X_test, n_rounds, lr, max_depth=None, num_leaves=None):
+    """Softmax GBDT whose F update re-walks each new tree (reference)."""
+    classes, y_enc = np.unique(y, return_inverse=True)
+    n, q = len(X), len(classes)
+    qs = np.linspace(0, 1, 33)[1:-1]
+    edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
+
+    def codes_for(Z):
+        codes = np.empty(Z.shape, dtype=np.uint8)
+        for j, e in enumerate(edges):
+            codes[:, j] = np.searchsorted(e, Z[:, j], side="left").astype(np.uint8)
+        return codes
+
+    codes = codes_for(X)
+    onehot = np.zeros((n, q))
+    onehot[np.arange(n), y_enc] = 1.0
+    base = np.log(np.maximum(onehot.mean(axis=0), 1e-12))
+    F = np.tile(base, (n, 1))
+    trees = []
+    for _ in range(n_rounds):
+        P = np.exp(F - F.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        g, h = P - onehot, P * (1.0 - P)
+        for k in range(q):
+            hk = np.maximum(h[:, k], 1e-6)
+            if max_depth is not None:
+                tree = _oracle_levelwise(codes, np.arange(n), g[:, k], hk, max_depth)
+            else:
+                tree = _oracle_leafwise(codes, np.arange(n), g[:, k], hk, num_leaves)
+            F[:, k] += lr * _oracle_predict_codes(tree, codes)
+            trees.append((k, tree))
+    test_codes = codes_for(X_test)
+    F = np.tile(base, (len(X_test), 1))
+    for k, tree in trees:
+        F[:, k] += lr * _oracle_predict_codes(tree, test_codes)
+    P = np.exp(F - F.max(axis=1, keepdims=True))
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _check_gbdt(X, y, X_test, n_rounds=30, max_depth=3, num_leaves=15):
+    cases = [
+        (XGBoostLikeClassifier(n_rounds, max_depth=max_depth), dict(lr=0.3, max_depth=max_depth)),
+        (LightGBMLikeClassifier(n_rounds, num_leaves=num_leaves), dict(lr=0.1, num_leaves=num_leaves)),
+    ]
+    for clf, kw in cases:
+        got = clf.fit(X, y).predict_proba(X_test)
+        want = _oracle_gbdt_proba(X, y, X_test, n_rounds, **kw)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), type(clf).__name__
+
+
+def _fold0(dataset, noise):
+    X, y, _ = load_dataset(dataset, noise_ratio=noise, noise_seed=0)
+    tr, te = stratified_kfold(y, n_splits=5, seed=0)[0]
+    return X[tr], y[tr], X[te]
+
+
+class TestGBDTEquivalence:
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
+    def test_datasets_match_per_feature_growers(self, dataset, noise):
+        _check_gbdt(*_fold0(dataset, noise), n_rounds=3)
+
+    @pytest.mark.parametrize("dataset", ["S1", "S2"])
+    def test_default_settings(self, dataset):
+        _check_gbdt(*_fold0(dataset, 0.2))
+
+    def test_no_features_predicts_the_prior(self):
+        y = np.array([0, 1, 1, 2, 2, 2])
+        _check_gbdt(np.empty((6, 0)), y, np.empty((2, 0)), n_rounds=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 119),
+        p=st.integers(1, 5),
+        q=st.integers(1, 5),
+        kind=st.sampled_from(["normal", "grid", "constant"]),
+        n_rounds=st.integers(1, 7),
+        max_depth=st.integers(1, 5),
+        num_leaves=st.integers(2, 19),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_inputs(self, n, p, q, kind, n_rounds, max_depth, num_leaves, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            X = rng.integers(0, 4, (n, p)).astype(float)  # tied codes
+        else:
+            X = rng.normal(0, 1, (n, p))
+            if kind == "constant":
+                X[:, rng.integers(0, p)] = 3.0
+        y = rng.integers(0, q, n)
+        X_test = np.concatenate([X, rng.normal(0, 2, (10, p))])
+        _check_gbdt(X, y, X_test, n_rounds, max_depth, num_leaves)

@@ -97,7 +97,7 @@ class TestGbabsSample:
     def test_sampled_rows_come_from_borderline_balls(self):
         X, y, _ = load_dataset("S5")
         idx, gbset = gbabs_sample(X, y, rho=5, seed=0)
-        covered = set(gbset.covered_idx().tolist())
+        covered = set(np.concatenate([b.idx for b in gbset.balls]).tolist())
         assert set(idx.tolist()) <= covered
 
     def test_deterministic(self):

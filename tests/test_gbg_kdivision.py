@@ -67,7 +67,7 @@ def test_overlap_exists_on_real_data():
     """The baseline's known defect the paper fixes: balls may overlap."""
     X, y, _ = load_dataset("S5")
     gbset = k_division_gbg(X, y, seed=0)
-    C, R = gbset.centers(), gbset.radii()
+    C, R = gbset.centers(), np.array([b.radius for b in gbset.balls])
     d = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert (d < (R[:, None] + R[None, :])).any()

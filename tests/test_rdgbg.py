@@ -28,7 +28,7 @@ class TestInvariants:
     def test_no_overlap(self, seed):
         X, y = _blobs(seed=seed)
         gbset = rd_gbg(X, y, rho=5, seed=seed)
-        C, R = gbset.centers(), gbset.radii()
+        C, R = gbset.centers(), np.array([b.radius for b in gbset.balls])
         d = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=-1)
         lim = R[:, None] + R[None, :]
         np.fill_diagonal(d, np.inf)
@@ -115,14 +115,14 @@ class TestEdgesAndValidation:
         X = np.random.default_rng(0).normal(0, 1, (50, 2))
         y = np.zeros(50, dtype=int)
         gbset = rd_gbg(X, y, rho=5, seed=0)
-        assert gbset.covered_idx().tolist() == list(range(50))
+        assert np.unique(np.concatenate([b.idx for b in gbset.balls])).tolist() == list(range(50))
         # one diffusion ball should swallow (nearly) everything
         assert len(gbset) < 50
 
     def test_two_samples(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         gbset = rd_gbg(X, np.array([0, 1]), rho=5, seed=0)
-        assert gbset.covered_idx().tolist() == [0, 1]
+        assert np.unique(np.concatenate([b.idx for b in gbset.balls])).tolist() == [0, 1]
 
     def test_rho_validation(self):
         X, y = _blobs(n=50)
@@ -183,7 +183,7 @@ def test_property_invariants_random_data(n, p, q, seed, levels):
         counts[b.idx] += 1
     counts[gbset.noise_idx] += 1
     assert (counts == 1).all()
-    C, R = gbset.centers(), gbset.radii()
+    C, R = gbset.centers(), np.array([b.radius for b in gbset.balls])
     d = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert (d >= (R[:, None] + R[None, :]) - 1e-9).all()
