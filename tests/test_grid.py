@@ -7,6 +7,8 @@ from pyspark.sql import functions as F
 from repro.harness.grid import (
     DEFAULT_METHODS,
     RESULT_COLUMNS,
+    RESULT_SCHEMA,
+    TIMING_COLUMNS,
     build_task_grid,
     run_fold_task,
     run_grid,
@@ -44,10 +46,28 @@ class TestFoldTask:
         assert rows["accuracy"].between(0, 1).all()
         assert rows["g_mean"].between(0, 1).all()
 
+    def test_stage_timings(self, rows):
+        """Every row carries its method's sampling time and its own fit/predict times."""
+        assert (rows[TIMING_COLUMNS] >= 0).all().all()
+        assert (rows.groupby("method")["t_sample_s"].nunique() == 1).all()
+        assert (rows["t_fit_s"] > 0).all()
+
     def test_deterministic(self):
+        """Every column but the wall-clock timings repeats exactly."""
         a = run_fold_task("S2", 0.0, 0, 1, methods=["GBABS"], classifiers=["DT"])
         b = run_fold_task("S2", 0.0, 0, 1, methods=["GBABS"], classifiers=["DT"])
-        pd.testing.assert_frame_equal(a, b)
+        pd.testing.assert_frame_equal(
+            a.drop(columns=TIMING_COLUMNS), b.drop(columns=TIMING_COLUMNS), check_exact=True
+        )
+
+    @pytest.mark.parametrize(
+        "methods, classifiers", [([], []), (["none"], []), ([], ["DT"])]
+    )
+    def test_empty_selection_runs_nothing(self, methods, classifiers):
+        """An empty list selects no method or classifier; only None means all."""
+        rows = run_fold_task("S2", 0.0, 0, 0, methods=methods, classifiers=classifiers)
+        assert rows.empty
+        assert list(rows.columns) == RESULT_COLUMNS
 
     def test_noise_changes_labels_and_results(self):
         a = run_fold_task("S2", 0.0, 0, 0, methods=["none"], classifiers=["DT"])
@@ -79,26 +99,103 @@ class TestTaskGrid:
         assert len(g) == 6
         assert set(g["dataset"]) == {"S1", "S2"}
 
+    def test_empty_datasets_select_none(self):
+        assert len(build_task_grid(datasets=[], n_splits=2)) == 0
+        assert len(build_task_grid(datasets=None, n_splits=2)) == 13 * 2
+
+
+GRID_KEY = ["dataset", "noise", "rep", "fold", "method", "classifier"]
+
+# 2 datasets x {0, 20%} noise x 2 folds = 8 fold tasks, more than a 4-core
+# local cluster's defaultParallelism.
+SMALL_GRID = dict(
+    datasets=["S2", "S5"],
+    noises=[0.0, 0.2],
+    methods=DEFAULT_METHODS,
+    classifiers=["DT"],
+    n_splits=2,
+)
+
 
 @pytest.fixture(scope="module")
 def small_results(spark):
     """A small but real grid: 2 datasets x {0, 20%} noise x 2 folds x DT."""
-    results = run_grid(
-        spark,
-        datasets=["S2", "S5"],
-        noises=[0.0, 0.2],
-        methods=DEFAULT_METHODS,
-        classifiers=["DT"],
-        n_splits=2,
-    ).cache()
+    results = run_grid(spark, **SMALL_GRID).cache()
     yield results
     results.unpersist()
+
+
+def _stages_and_tasks(spark, group: str) -> tuple[int, int]:
+    """Stages that ran tasks, and their tasks, over every job of a job group."""
+    tracker = spark.sparkContext.statusTracker()
+    stage_ids = {
+        sid
+        for jid in tracker.getJobIdsForGroup(group)
+        for sid in tracker.getJobInfo(jid).stageIds
+    }
+    stages = [tracker.getStageInfo(sid) for sid in stage_ids]
+    ran = [s for s in stages if s is not None and s.numCompletedTasks + s.numFailedTasks > 0]
+    return len(ran), sum(s.numCompletedTasks + s.numFailedTasks for s in ran)
 
 
 class TestRunGrid:
     def test_row_count(self, small_results):
         # 2 datasets x 2 noises x 2 folds x 4 methods x 1 classifier
         assert small_results.count() == 2 * 2 * 2 * 4
+
+    def test_one_stage_of_one_task_per_core(self, spark):
+        """The grid is one shuffle-free stage of min(#tasks, cores) Python tasks,
+        and its rows are exactly the in-process fold-task rows."""
+        sc = spark.sparkContext
+        tasks = build_task_grid(
+            datasets=SMALL_GRID["datasets"],
+            noises=SMALL_GRID["noises"],
+            n_splits=SMALL_GRID["n_splits"],
+        )
+        k = min(len(tasks), sc.defaultParallelism)
+        results = run_grid(spark, **SMALL_GRID)
+
+        # Under adaptive execution, resolving the partition count runs any
+        # shuffle stage, so it runs inside the job group too.
+        group = "test-grid-shape"
+        sc.setJobGroup(group, "run_grid job shape")
+        try:
+            n_partitions = results.rdd.getNumPartitions()
+            got = results.toPandas()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert n_partitions == k
+        assert _stages_and_tasks(spark, group) == (1, k)
+
+        assert not got.duplicated(GRID_KEY).any()
+        want = pd.concat(
+            [
+                run_fold_task(
+                    t.dataset,
+                    t.noise,
+                    t.rep,
+                    t.fold,
+                    methods=SMALL_GRID["methods"],
+                    classifiers=SMALL_GRID["classifiers"],
+                    n_splits=SMALL_GRID["n_splits"],
+                )
+                for t in tasks.itertuples()
+            ]
+        )
+
+        def by_key(df):
+            return (
+                df.drop(columns=TIMING_COLUMNS)
+                .sort_values(GRID_KEY)
+                .reset_index(drop=True)
+            )
+
+        pd.testing.assert_frame_equal(by_key(got), by_key(want), check_exact=True)
+
+    def test_empty_task_table(self, spark):
+        results = run_grid(spark, datasets=["S2"], noises=[], n_splits=2)
+        assert results.schema == spark.createDataFrame([], RESULT_SCHEMA).schema
+        assert results.count() == 0
 
     def test_aggregation_matches_duckdb_oracle(self, small_results):
         """Spark groupBy/avg == DuckDB over identical rows (the oracle)."""
