@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.gbabs import gbabs_from_balls, gbabs_sample
 from repro.core.rdgbg import rd_gbg
+from repro.datasets.generators import make_blobs_classification
 from repro.datasets.registry import load_dataset
 
 
@@ -29,6 +30,16 @@ def test_bench_rdgbg_middim(benchmark, s10):
     """RD-GBG granulation on the 10-d magic analog (2000 samples)."""
     X, y = s10
     gbset = benchmark(rd_gbg, X, y, 5, 0)
+    assert len(gbset) > 0
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+def test_bench_rdgbg_scaling(benchmark, n):
+    """RD-GBG on 10-d, 2-class blobs as n doubles; one round at n = 8000."""
+    X, y = make_blobs_classification(n_samples=n, n_features=10, n_classes=2, seed=0)
+    gbset = benchmark.pedantic(
+        rd_gbg, args=(X, y, 5, 0), rounds=1 if n == 8000 else 3, iterations=1
+    )
     assert len(gbset) > 0
 
 

@@ -35,5 +35,5 @@ def test_bench_table2_spark_subset(benchmark, spark):
         )
         return table2(results)
 
-    t = benchmark.pedantic(run, rounds=2, iterations=1)
+    t = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
     assert "GBABS-DT" in t.columns

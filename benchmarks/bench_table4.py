@@ -34,5 +34,5 @@ def test_bench_table4_spark_subset(benchmark, spark):
         )
         return table4(results)
 
-    t = benchmark.pedantic(run, rounds=2, iterations=1)
+    t = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
     assert list(t.columns) == ["10%", "30%"]
