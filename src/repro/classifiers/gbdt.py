@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+from .validation import check_X, check_X_y
+
 __all__ = ["XGBoostLikeClassifier", "LightGBMLikeClassifier"]
 
 _N_BINS = 32
@@ -139,10 +141,7 @@ class _SoftmaxGBDT:
         self._base: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if len(X) == 0:
-            raise ValueError("empty training set")
+        X, y = check_X_y(X, y)
         self._classes, y_enc = np.unique(y, return_inverse=True)
         q = len(self._classes)
         qs = np.linspace(0, 1, _N_BINS + 1)[1:-1]
@@ -174,8 +173,7 @@ class _SoftmaxGBDT:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self._trees:
             raise RuntimeError("fit before predict")
-        X = np.asarray(X, dtype=np.float64)
-        codes = _bin(X, self._edges)
+        codes = _bin(check_X(X, len(self._edges)), self._edges)
         F = np.tile(self._base, (len(X), 1))
         for round_trees in self._trees:
             for k, nodes in enumerate(round_trees):

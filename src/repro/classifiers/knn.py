@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .validation import check_X, check_X_y
+
 __all__ = ["KNNClassifier"]
 
 
@@ -21,22 +23,21 @@ class KNNClassifier:
             raise ValueError("k must be >= 1")
         self.k = k
         self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
+        self._classes: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNNClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if len(X) == 0:
-            raise ValueError("empty training set")
-        self._X, self._y = X, y
+        X, y = check_X_y(X, y)
+        self._X = X
+        self._classes, self._codes = np.unique(y, return_inverse=True)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("fit before predict")
-        X = np.asarray(X, dtype=np.float64)
+        X = check_X(X, self._X.shape[1])
         k = min(self.k, len(self._X))
-        out = np.empty(len(X), dtype=self._y.dtype)
+        out = np.empty(len(X), dtype=self._classes.dtype)
         for lo in range(0, len(X), 512):
             chunk = X[lo : lo + 512]
             d2 = ((chunk[:, None, :] - self._X[None, :, :]) ** 2).sum(-1)
@@ -45,12 +46,10 @@ class KNNClassifier:
             # "nearest first".
             rows = np.arange(len(chunk))[:, None]
             order = np.argsort(d2[rows, nn], axis=1, kind="stable")
-            nn = nn[rows, order]
-            labels = self._y[nn]
-            for i in range(len(chunk)):
-                vals, counts = np.unique(labels[i], return_counts=True)
-                best = counts.max()
-                tied = set(vals[counts == best].tolist())
-                # nearest neighbour whose label is among the tied classes
-                out[lo + i] = next(l for l in labels[i] if l in tied)
+            codes = self._codes[nn[rows, order]]  # (rows, k) class codes
+            # votes[i, j]: how many of row i's neighbours share neighbour j's
+            # class. The nearest neighbour of a most-voted class decides.
+            votes = (codes[:, :, None] == codes[:, None, :]).sum(axis=2)
+            nearest = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
+            out[lo : lo + len(chunk)] = self._classes[codes[rows[:, 0], nearest]]
         return out

@@ -81,6 +81,84 @@ def test_noninteger_labels_roundtrip(cls):
     assert set(np.unique(clf.predict(X))) <= {10, 11}
 
 
+# --- input validation, shared by every classifier ---
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_nonfinite_features(cls, bad):
+    X, y = _easy(n=40)
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        cls().fit(X, y)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_fit_rejects_1d_features(cls):
+    with pytest.raises(ValueError, match="2-D"):
+        cls().fit(np.arange(10.0), np.arange(10) % 2)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_fit_rejects_2d_labels(cls):
+    X, y = _easy(n=40)
+    with pytest.raises(ValueError, match="y must be 1-D"):
+        cls().fit(X, y[:, None])
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_fit_rejects_length_mismatch(cls):
+    X, y = _easy(n=40)
+    with pytest.raises(ValueError, match="rows"):
+        cls().fit(X, y[:-1])
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_predict_rejects_wrong_feature_count(cls):
+    X, y = _easy(n=40, p=3)
+    clf = cls().fit(X, y)
+    with pytest.raises(ValueError, match="features"):
+        clf.predict(X[:, :1])
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_predict_rejects_nonfinite_features(cls):
+    X, y = _easy(n=40)
+    clf = cls().fit(X, y)
+    X = X[:5].copy()
+    X[0, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        clf.predict(X)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_predict_rejects_1d_features(cls):
+    X, y = _easy(n=40)
+    clf = cls().fit(X, y)
+    with pytest.raises(ValueError, match="2-D"):
+        clf.predict(X[0])
+
+
+@pytest.mark.parametrize("cls", [c for c in ALL_CLASSES if c is not KNNClassifier])
+def test_zero_features_fit_the_prior(cls):
+    y = np.array([0, 1, 1, 2, 2, 2])
+    clf = cls().fit(np.empty((6, 0)), y)
+    assert (clf.predict(np.empty((3, 0))) == 2).all()
+
+
+def test_zero_feature_tree_is_one_leaf():
+    y = np.array([0, 1, 1, 2, 2, 2])
+    clf = DecisionTreeClassifier().fit(np.empty((6, 0)), y)
+    assert clf._root.left is None
+    assert clf._root.proba.tolist() == [1 / 6, 2 / 6, 3 / 6]
+
+
+@pytest.mark.parametrize("n_estimators", [0, -3])
+def test_forest_rejects_no_trees(n_estimators):
+    with pytest.raises(ValueError, match="n_estimators"):
+        RandomForestClassifier(n_estimators=n_estimators)
+
+
 class TestDecisionTree:
     def test_pure_fit_memorises_training_set(self):
         X, y = _easy(n=200)
@@ -501,3 +579,197 @@ class TestGBDTEquivalence:
         y = rng.integers(0, q, n)
         X_test = np.concatenate([X, rng.normal(0, 2, (10, p))])
         _check_gbdt(X, y, X_test, n_rounds, max_depth, num_leaves)
+
+
+# --- Forest equivalence: lockstep grower vs one presorted tree at a time ---
+
+
+def _oracle_best_split_presorted(X, Y, S, total, feat_ids):
+    """One node's all-feature presorted split scan (reference)."""
+    m = S.shape[1]
+    gini_parent = 1.0 - ((total / m) ** 2).sum()
+    Sk = S[feat_ids]
+    xs = X[Sk, feat_ids[:, None]]
+    left = np.cumsum(Y[Sk], axis=1)[:, :-1]
+    nl = np.arange(1.0, m)
+    nr = m - nl
+    gini_l = 1.0 - np.square(left / nl[:, None]).sum(-1)
+    gini_r = 1.0 - np.square((total - left) / nr[:, None]).sum(-1)
+    weighted = (gini_l * nl + gini_r * nr) / m
+    weighted[~(xs[:, 1:] > xs[:, :-1])] = np.inf
+    pos = np.argmin(weighted, axis=1)
+    best_w = weighted[np.arange(len(feat_ids)), pos]
+    best = (-1, 0.0, -1.0)
+    for f, j in enumerate(feat_ids):
+        gain = gini_parent - best_w[f]
+        if gain > best[2] + 1e-12:
+            i = pos[f] + 1
+            thr = 0.5 * (xs[f, i - 1] + xs[f, i])
+            if not xs[f, i - 1] <= thr < xs[f, i]:
+                thr = xs[f, i - 1]
+            best = (int(j), float(thr), float(gain))
+    return best
+
+
+def _oracle_presorted_tree(X, y, max_depth, max_features, seed):
+    """``(preorder, classes)`` of one CART grown node by node from a stack."""
+    classes, y_enc = np.unique(y, return_inverse=True)
+    n, p = X.shape
+    Y = np.zeros((n, len(classes)))
+    Y[np.arange(n), y_enc] = 1.0
+    rng = np.random.default_rng(seed)
+    max_depth = 10**9 if max_depth is None else max_depth
+    out, stack = [], [(np.argsort(X.T, axis=1, kind="stable"), 0)]
+    while stack:
+        S, depth = stack.pop()
+        counts = np.bincount(y_enc[S[0]], minlength=len(classes)).astype(np.float64)
+        rec = [-1, 0.0, counts / counts.sum()]
+        out.append(rec)
+        if depth >= max_depth or S.shape[1] < 2 or (counts > 0).sum() == 1:
+            continue
+        if max_features < p:
+            feat_ids = rng.choice(p, size=max_features, replace=False)
+        else:
+            feat_ids = np.arange(p)
+        j, thr, gain = _oracle_best_split_presorted(X, Y, S, counts, feat_ids)
+        if gain <= 0:
+            continue
+        rec[0], rec[1] = j, thr
+        L = X[S, j] <= thr
+        stack.append((S[~L].reshape(p, -1), depth + 1))
+        stack.append((S[L].reshape(p, -1), depth + 1))
+    return out, classes
+
+
+def _oracle_forest(X, y, n_estimators, max_depth, seed):
+    """Per-tree loop: draw a bootstrap, grow its tree, next tree (reference)."""
+    rng = np.random.default_rng(seed)
+    k = max(1, int(np.sqrt(X.shape[1])))
+    trees = []
+    for t in range(n_estimators):
+        idx = rng.integers(0, len(X), len(X))
+        trees.append(_oracle_presorted_tree(X[idx], y[idx], max_depth, k, seed * 1000 + t))
+    return trees
+
+
+def _check_forest(X, y, n_estimators=30, max_depth=None, seed=1):
+    forest = RandomForestClassifier(n_estimators, max_depth=max_depth, seed=seed).fit(X, y)
+    want = _oracle_forest(X, y, n_estimators, max_depth, seed)
+    assert len(forest._trees) == len(want)
+    for tree, (nodes, classes) in zip(forest._trees, want):
+        assert tree._classes.dtype == classes.dtype
+        assert np.array_equal(tree._classes, classes)
+        _assert_same_tree(_preorder(tree), nodes)
+    return forest
+
+
+def _fold0_2(dataset, noise):
+    X, y, _ = load_dataset(dataset, noise_ratio=noise, noise_seed=0)
+    tr, _ = stratified_kfold(y, n_splits=2, seed=0)[0]
+    return X[tr], y[tr]
+
+
+class TestForestEquivalence:
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
+    def test_datasets_match_per_tree_loop(self, dataset, noise):
+        forest = _check_forest(*_fold0_2(dataset, noise))
+        if dataset in ("S6", "S11") and noise == 0.0:
+            # rare classes: some bootstrap misses one, and its tree keeps
+            # its own, shorter class axis
+            assert any(len(t._classes) < len(forest._classes) for t in forest._trees)
+
+    @pytest.mark.parametrize("max_depth", [2, 5])
+    @pytest.mark.parametrize("dataset", ["S1", "S3", "S6", "S11", "S13"])
+    def test_depth_limits(self, dataset, max_depth):
+        _check_forest(*_fold0_2(dataset, 0.2), max_depth=max_depth)
+
+    def test_missing_rare_class_among_many(self):
+        # 10 classes, one of them a single row: trees with 9 and with 10
+        # classes grow side by side, past the class count where numpy's
+        # class-axis sum stops adding left to right.
+        rng = np.random.default_rng(4)
+        X = rng.normal(0, 1, (300, 6))
+        y = rng.integers(0, 9, 300)
+        y[17] = 9
+        forest = _check_forest(X, y, n_estimators=12, seed=3)
+        assert {len(t._classes) for t in forest._trees} == {9, 10}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        p=st.integers(1, 6),
+        q=st.integers(1, 4),
+        levels=st.integers(2, 6),
+        n_estimators=st.integers(1, 6),
+        max_depth=st.one_of(st.none(), st.integers(1, 6)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_inputs(self, n, p, q, levels, n_estimators, max_depth, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, (n, p)) * 0.5 - 1.0  # coarse grid: ties
+        y = rng.integers(0, q, n)
+        _check_forest(X, y, n_estimators, max_depth, seed)
+
+
+def test_class_sum_matches_numpy_row_sum():
+    from repro.classifiers.tree import _class_sum
+
+    rng = np.random.default_rng(0)
+    for q in [*range(1, 40), 127, 128, 129, 200, 300]:
+        A = rng.random((50, q)) * 10.0 ** rng.integers(-6, 6, (50, q))
+        got = _class_sum(np.ascontiguousarray(A.T))
+        assert got.tobytes() == A.sum(axis=1).tobytes(), q
+
+
+# --- kNN vote: vectorised counts vs the per-row np.unique loop ---
+
+
+def _oracle_knn_predict(X_tr, y_tr, X, k=5):
+    """Per-row vote with np.unique; ties go to the nearest tied neighbour."""
+    k = min(k, len(X_tr))
+    out = np.empty(len(X), dtype=y_tr.dtype)
+    for lo in range(0, len(X), 512):
+        chunk = X[lo : lo + 512]
+        d2 = ((chunk[:, None, :] - X_tr[None, :, :]) ** 2).sum(-1)
+        nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        rows = np.arange(len(chunk))[:, None]
+        order = np.argsort(d2[rows, nn], axis=1, kind="stable")
+        labels = y_tr[nn[rows, order]]
+        for i in range(len(chunk)):
+            vals, counts = np.unique(labels[i], return_counts=True)
+            tied = set(vals[counts == counts.max()].tolist())
+            out[lo + i] = next(l for l in labels[i] if l in tied)
+    return out
+
+
+class TestKNNVote:
+    @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
+    def test_datasets_match_per_row_loop(self, dataset):
+        X, y, _ = load_dataset(dataset, noise_ratio=0.2, noise_seed=0)
+        tr, te = stratified_kfold(y, n_splits=2, seed=0)[0]
+        got = KNNClassifier().fit(X[tr], y[tr]).predict(X[te])
+        want = _oracle_knn_predict(X[tr], y[tr], X[te])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_string_labels(self):
+        X, y = _easy(n=60, q=3)
+        labels = np.array(["a", "bb", "c"])[y]
+        got = KNNClassifier(k=4).fit(X[:40], labels[:40]).predict(X[40:])
+        assert np.array_equal(got, _oracle_knn_predict(X[:40], labels[:40], X[40:], k=4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 4),
+        q=st.integers(1, 4),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_tied_votes(self, n, p, q, k, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (n, p)).astype(float)  # tied distances
+        y = rng.integers(0, q, n) * 10 - 5
+        X_test = rng.integers(0, 3, (30, p)).astype(float)
+        got = KNNClassifier(k=k).fit(X, y).predict(X_test)
+        assert np.array_equal(got, _oracle_knn_predict(X, y, X_test, k=k))
