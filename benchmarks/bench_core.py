@@ -74,3 +74,20 @@ def test_bench_gbabs_spark_distributed(benchmark, spark, s5):
     finally:
         df.unpersist()
     assert 0 < n < len(X)
+
+
+def test_bench_spark_python_task(benchmark, spark):
+    """Fixed cost of Python tasks: a warm 4-partition no-op mapInPandas."""
+    from repro.harness.session import forget_zip_finders
+
+    def noop(batches):
+        forget_zip_finders()
+        yield from batches
+
+    df = spark.range(4, numPartitions=4)
+
+    def run():
+        return len(df.mapInPandas(noop, schema="id long").collect())
+
+    n = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=3)
+    assert n == 4

@@ -73,3 +73,18 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def job_shape(spark):
+    """``job_shape(group)``: a job group's jobs, the stages that ran tasks, and their tasks."""
+    tracker = spark.sparkContext.statusTracker()
+
+    def shape(group: str) -> tuple[int, int, int]:
+        jobs = tracker.getJobIdsForGroup(group)
+        stage_ids = {sid for jid in jobs for sid in tracker.getJobInfo(jid).stageIds}
+        stages = [tracker.getStageInfo(sid) for sid in stage_ids]
+        ran = [s for s in stages if s is not None and s.numCompletedTasks + s.numFailedTasks > 0]
+        return len(jobs), len(ran), sum(s.numCompletedTasks + s.numFailedTasks for s in ran)
+
+    return shape

@@ -14,9 +14,14 @@ from .validation import check_X, check_X_y
 
 __all__ = ["KNNClassifier"]
 
+# Bytes of the (rows, n_train, p) difference cube that one predict chunk
+# builds. Each distance reduces within its own row, so the chunking does not
+# change a single bit of the predictions.
+CHUNK_BYTES = 16 << 20
+
 
 class KNNClassifier:
-    """Brute-force kNN. Memory-bounded by chunking the test distance matrix."""
+    """Brute-force kNN. Memory-bounded by chunking the test rows to ``CHUNK_BYTES``."""
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -38,8 +43,9 @@ class KNNClassifier:
         X = check_X(X, self._X.shape[1])
         k = min(self.k, len(self._X))
         out = np.empty(len(X), dtype=self._classes.dtype)
-        for lo in range(0, len(X), 512):
-            chunk = X[lo : lo + 512]
+        step = max(1, CHUNK_BYTES // max(1, self._X.nbytes))
+        for lo in range(0, len(X), step):
+            chunk = X[lo : lo + step]
             d2 = ((chunk[:, None, :] - self._X[None, :, :]) ** 2).sum(-1)
             nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
             # Order the k neighbours by distance so the tie-break below is

@@ -18,7 +18,8 @@ Algorithm 2 needs from a ball is known in the task that builds it:
   and the upper ball's ``bot``. This step is oracle-checked against an
   equivalent DuckDB window query in tests.
 * ``gbabs_sample_df`` — left-semi-joins the original rows on the pairs'
-  two sample ids.
+  two sample ids. The ids are broadcast, so ``df`` is not shuffled for
+  the join.
 
 With ``num_partitions=1`` this computes exactly the single-node
 Algorithm 2, tied coordinates included: ball keys order like ball
@@ -27,6 +28,10 @@ With more partitions each shard granulates locally, so balls from
 different shards may overlap while boundary detection still sees every
 ball — the natural data-parallel approximation. Unlike the numpy
 reference, single-class input yields no pairs and so an empty sample.
+
+The granulation task calls ``forget_zip_finders`` first, so that a reused
+Python worker does not re-read ``pyspark.zip`` before its next task (see
+``repro.harness.session``).
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
+from ..harness.session import forget_zip_finders
 from .gbabs import ball_extremes
 from .rdgbg import rd_gbg
 
@@ -76,6 +82,7 @@ def granulate_partitions(
         df = df.repartition(num_partitions)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        forget_zip_finders()
         from pyspark import TaskContext
 
         batches = list(batches)
@@ -142,4 +149,4 @@ def gbabs_sample_df(
     balls = granulate_partitions(df, rho=rho, seed=seed, num_partitions=num_partitions)
     pairs = borderline_pairs_df(balls)
     picked = pairs.select(F.explode(F.array("lo_sid", "hi_sid")).alias(SID))
-    return df.join(picked, on=SID, how="left_semi")
+    return df.join(F.broadcast(picked), on=SID, how="left_semi")

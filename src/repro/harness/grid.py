@@ -8,11 +8,13 @@ paper's protocol), every classifier trained on each sampled set, and one
 metric row emitted per (method, classifier).
 
 ``run_grid`` deals the task list round-robin over one Python task per
-core, in one stage with no shuffle. Every Spark Python task pays a fixed
-start-up cost before any of the grid's code runs (0.22–0.25 s on a
-4-core local cluster), so one Python task per fold task would pay it
-once per fold task. Each fold task is seeded from its key, so results
-are reproducible regardless of scheduling.
+core, in one stage with no shuffle, because every Spark Python task has
+a fixed cost before any of the grid's code runs. The worker's
+``importlib.invalidate_caches()`` makes each zip finder it holds for
+``pyspark.zip`` re-read the zip, 0.1–0.2 s per task. ``run_share`` first
+calls ``forget_zip_finders``, so a reused worker's later tasks skip that
+cost, but a worker's first task still pays it. Each fold task is seeded
+from its key, so results are reproducible regardless of scheduling.
 ``run_fold_task`` is the plain-Python core, unit-testable without Spark.
 """
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ..classifiers import CLASSIFIER_NAMES, accuracy, g_mean, make_classifier
 from ..core.gbabs import gbabs_sample
 from ..datasets.registry import REGISTRY, load_dataset
 from ..stats.crossval import stratified_kfold
+from .session import forget_zip_finders
 
 __all__ = [
     "DEFAULT_METHODS",
@@ -198,6 +201,7 @@ def run_grid(
     k = max(1, min(len(tasks), spark.sparkContext.defaultParallelism))
 
     def run_share(batches):
+        forget_zip_finders()
         for batch in batches:
             for i in batch["id"]:
                 for task in tasks[i::k]:

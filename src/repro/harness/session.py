@@ -3,14 +3,28 @@
 Jobs, the benchmark and the tests' session fixture all call
 ``get_session()``, which applies Arrow, shuffle partitions and disabled
 broadcast joins to a builder-created or spark-submit-provided session.
-Broadcast joins are off so joins exercise the shuffle path; a query that
-wants a broadcast join sets the threshold back for itself.
+Broadcast joins are off so that a join Spark plans by itself exercises
+the shuffle path; a query that wants a broadcast join asks for it with
+``F.broadcast`` (``gbabs_sample_df``'s semi-join does).
+
+``forget_zip_finders()`` is the first statement of every Python task
+body the repro runs. PySpark's worker calls ``importlib.invalidate_caches()``
+before each task (``worker_util.setup_spark_files``), and that makes every
+``zipimporter`` cached for ``pyspark.zip`` — one per package directory the
+worker has imported from it — re-read the zip's whole directory, 0.1–0.2 s
+per task before any repro code runs. With those finders forgotten, a
+reused worker's later tasks skip the cost. Its first task still pays it,
+and its second pays for the few finders that the first task's own imports
+built after the call.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
+
 from pyspark.sql import SparkSession
 
-__all__ = ["get_session"]
+__all__ = ["get_session", "forget_zip_finders"]
 
 
 def get_session(app_name: str = "repro-job") -> SparkSession:
@@ -21,3 +35,16 @@ def get_session(app_name: str = "repro-job") -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+
+
+def forget_zip_finders() -> None:
+    """Delete every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    Modules already imported keep their loaders. A later import from a zip
+    builds its finder again from zipimport's shared directory cache, without
+    re-reading the zip, and ``importlib.invalidate_caches()`` has no
+    zip finder left to make re-read it.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]

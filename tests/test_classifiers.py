@@ -1,12 +1,13 @@
 """Tests for the from-scratch classifier substrate."""
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classifiers import CLASSIFIER_NAMES, make_classifier
+from repro.classifiers import CLASSIFIER_NAMES, knn, make_classifier
 from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.gbdt import LightGBMLikeClassifier, XGBoostLikeClassifier
 from repro.classifiers.knn import KNNClassifier
@@ -773,3 +774,37 @@ class TestKNNVote:
         X_test = rng.integers(0, 3, (30, p)).astype(float)
         got = KNNClassifier(k=k).fit(X, y).predict(X_test)
         assert np.array_equal(got, _oracle_knn_predict(X, y, X_test, k=k))
+
+
+# --- kNN chunking: byte-capped chunks vs one-row chunks ---
+
+
+def _one_row_predict(clf: KNNClassifier, X: np.ndarray) -> np.ndarray:
+    with mock.patch.object(knn, "CHUNK_BYTES", 1):
+        return clf.predict(X)
+
+
+class TestKNNChunks:
+    @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
+    def test_datasets_match_one_row_chunks(self, dataset):
+        X, y, _ = load_dataset(dataset, noise_ratio=0.2, noise_seed=0)
+        tr, te = stratified_kfold(y, n_splits=2, seed=0)[0]
+        clf = KNNClassifier().fit(X[tr], y[tr])
+        assert knn.CHUNK_BYTES // X[tr].nbytes > 1  # several test rows per chunk
+        got = clf.predict(X[te])
+        assert got.tobytes() == _one_row_predict(clf, X[te]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 4),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_tied_distances(self, n, p, k, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (n, p)).astype(float)  # tied distances
+        y = rng.integers(0, 3, n)
+        X_test = rng.integers(0, 3, (30, p)).astype(float)
+        clf = KNNClassifier(k=k).fit(X, y)
+        assert clf.predict(X_test).tobytes() == _one_row_predict(clf, X_test).tobytes()

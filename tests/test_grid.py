@@ -125,25 +125,12 @@ def small_results(spark):
     results.unpersist()
 
 
-def _stages_and_tasks(spark, group: str) -> tuple[int, int]:
-    """Stages that ran tasks, and their tasks, over every job of a job group."""
-    tracker = spark.sparkContext.statusTracker()
-    stage_ids = {
-        sid
-        for jid in tracker.getJobIdsForGroup(group)
-        for sid in tracker.getJobInfo(jid).stageIds
-    }
-    stages = [tracker.getStageInfo(sid) for sid in stage_ids]
-    ran = [s for s in stages if s is not None and s.numCompletedTasks + s.numFailedTasks > 0]
-    return len(ran), sum(s.numCompletedTasks + s.numFailedTasks for s in ran)
-
-
 class TestRunGrid:
     def test_row_count(self, small_results):
         # 2 datasets x 2 noises x 2 folds x 4 methods x 1 classifier
         assert small_results.count() == 2 * 2 * 2 * 4
 
-    def test_one_stage_of_one_task_per_core(self, spark):
+    def test_one_stage_of_one_task_per_core(self, spark, job_shape):
         """The grid is one shuffle-free stage of min(#tasks, cores) Python tasks,
         and its rows are exactly the in-process fold-task rows."""
         sc = spark.sparkContext
@@ -165,7 +152,7 @@ class TestRunGrid:
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert n_partitions == k
-        assert _stages_and_tasks(spark, group) == (1, k)
+        assert job_shape(group)[1:] == (1, k)
 
         assert not got.duplicated(GRID_KEY).any()
         want = pd.concat(

@@ -1,0 +1,61 @@
+"""Tests for ``forget_zip_finders``, without Spark: a zip package on sys.path."""
+import importlib
+import sys
+import zipfile
+import zipimport
+
+import pytest
+
+from repro.harness.session import forget_zip_finders
+
+
+def _zip_finders() -> list:
+    return [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
+
+
+@pytest.fixture
+def zip_package(tmp_path):
+    """A package ``zpkg`` with modules ``first`` and ``second``, in a zip on sys.path."""
+    path = str(tmp_path / "zpkg.zip")
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("zpkg/__init__.py", "")
+        zf.writestr("zpkg/first.py", "VALUE = 1\n")
+        zf.writestr("zpkg/second.py", "VALUE = 2\n")
+    saved_path, saved_cache = list(sys.path), dict(sys.path_importer_cache)
+    sys.path.insert(0, path)
+    try:
+        yield path
+    finally:
+        sys.path[:] = saved_path
+        sys.path_importer_cache.clear()
+        sys.path_importer_cache.update(saved_cache)
+        for name in ("zpkg", "zpkg.first", "zpkg.second"):
+            sys.modules.pop(name, None)
+
+
+def test_forget_zip_finders(zip_package, monkeypatch):
+    reads = []
+    read_directory = zipimport._read_directory
+    monkeypatch.setattr(
+        zipimport, "_read_directory", lambda path: reads.append(path) or read_directory(path)
+    )
+    import zpkg.first
+
+    assert zpkg.first.VALUE == 1 and _zip_finders()
+    # The finders it left behind make invalidate_caches re-read the zip.
+    importlib.invalidate_caches()
+    assert reads.count(zip_package) >= 1
+
+    forget_zip_finders()
+    assert not _zip_finders()
+    reads.clear()
+    importlib.invalidate_caches()
+    assert reads == []
+
+    import zpkg.second
+
+    assert zpkg.second.VALUE == 2
+    assert zpkg.second.__file__.startswith(zip_package)
+    assert isinstance(zpkg.second.__loader__, zipimport.zipimporter)
+    # Its finder came from zipimport's shared directory cache, not the zip.
+    assert reads == []

@@ -1,4 +1,6 @@
 """Tests for the distributed GBABS (ball table + Catalyst window)."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -182,3 +184,45 @@ def test_noise_rows_never_emitted(spark):
     extremes = set(np.stack(balls["top"]).ravel()) | set(np.stack(balls["bot"]).ravel())
     assert not extremes & noise
     assert not set(_sids(gbabs_sample_df(df, rho=5, seed=0, num_partitions=1))) & noise
+
+
+def _final_plan(sdf) -> str:
+    """The physical plan ``sdf`` ran, after adaptive execution settled it."""
+    plan = sdf._jdf.queryExecution().executedPlan()
+    if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
+        plan = plan.executedPlan()
+    return plan.toString()
+
+
+def test_sample_is_a_broadcast_semi_join(s2):
+    """The picked ids are broadcast: ``df`` is never shuffled for the semi-join."""
+    X, y, df = s2
+    sampled = gbabs_sample_df(df, rho=5, seed=0, num_partitions=4)
+    sampled.collect()
+    plan = _final_plan(sampled)
+    assert re.search(r"BroadcastHashJoin .*LeftSemi", plan), plan
+    assert "SortMergeJoin" not in plan, plan
+
+
+def test_sample_job_shape_repeats(spark, s2, job_shape):
+    """Every call runs the same jobs, stages and tasks."""
+    X, y, df = s2
+    sc = spark.sparkContext
+    shapes = []
+    for i in range(2):
+        group = f"test-gbabs-shape-{i}"
+        sc.setJobGroup(group, "gbabs_sample_df job shape")
+        try:
+            gbabs_sample_df(df, rho=5, seed=0, num_partitions=4).select(SID).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        shapes.append(job_shape(group))
+    assert shapes[0] == shapes[1]
+    assert shapes[0][2] > 0
+
+
+def test_sample_leaves_no_cached_data(spark, s2):
+    """A call persists nothing: Spark holds no cached data after it."""
+    X, y, df = s2
+    gbabs_sample_df(df, rho=5, seed=0, num_partitions=4).collect()
+    assert spark.sparkContext._jsc.getPersistentRDDs().isEmpty()
