@@ -1,13 +1,9 @@
-"""Benchmark regenerating a slice of Table II (DT accuracy per method).
+"""Benchmark of one Table II unit of work (DT accuracy per method).
 
-The full table is produced by ``jobs/table2_accuracy.py``; benching a
-2-dataset subset keeps ``--benchmark-only`` runs in minutes while
-exercising the identical code path (Spark fan-out included).
+The full table is produced by ``jobs/table2_accuracy.py``; perfbench's
+``table2-grid`` workload times and checks the Spark grid end to end.
 """
-import pytest
-
-from repro.harness.grid import run_fold_task, run_grid
-from repro.harness.tables import table2
+from repro.harness.grid import run_fold_task
 
 
 def test_bench_table2_fold_task(benchmark):
@@ -20,20 +16,3 @@ def test_bench_table2_fold_task(benchmark):
         iterations=1,
     )
     assert len(rows) == 4
-
-
-def test_bench_table2_spark_subset(benchmark, spark):
-    """Spark-parallel Table II over S2+S5, 2 folds, assembled to the table."""
-
-    def run():
-        results = run_grid(
-            spark,
-            datasets=["S2", "S5"],
-            noises=[0.0],
-            classifiers=["DT"],
-            n_splits=2,
-        )
-        return table2(results)
-
-    t = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
-    assert "GBABS-DT" in t.columns

@@ -19,6 +19,9 @@ keeps the signature difference between the real libraries:
   (default 15), learning rate 0.1 (lightgbm defaults, leaves scaled down
   with the datasets).
 
+A fitted model is one node table of ``tree.py``, bins as thresholds,
+predicted through CART's router on the binned rows.
+
 30 boosting rounds instead of 100 for the experiment grid's time budget
 (DESIGN.md). Binary problems are trained as 2-class softmax — equivalent
 to logistic boosting up to a factor of 2 in the learning-rate/hessian
@@ -31,6 +34,7 @@ import math
 
 import numpy as np
 
+from .tree import NodeTable, concat_tables, route
 from .validation import check_X, check_X_y
 
 __all__ = ["XGBoostLikeClassifier", "LightGBMLikeClassifier"]
@@ -76,15 +80,15 @@ def _best_split_hist(
 
 def _grow(
     codes: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: float, num_leaves: float
-) -> tuple[list[list], np.ndarray]:
+) -> tuple[NodeTable, np.ndarray]:
     """Best-first regression tree on binned ``codes``, gradients g, hessians h.
 
-    Returns ``(nodes, fitted)``: nodes are ``[feature, bin, left, right,
-    weight]`` (feature -1 marks a leaf) and ``fitted`` is every training
-    row's leaf weight. The open leaf of highest gain splits next; equal
-    gains go to the leaf made first.
+    Returns ``(tree, fitted)``: a node table whose thresholds are bins and
+    whose values are leaf weights, and every training row's leaf weight.
+    The open leaf of highest gain splits next; equal gains go to the leaf
+    made first.
     """
-    nodes: list[list] = []
+    nodes: list[list] = []  # [feature, bin, left child, weight]
     leaf_rows: dict[int, np.ndarray] = {}
     heap: list[tuple[float, int, int, int, int]] = []
 
@@ -92,7 +96,7 @@ def _grow(
         ni = len(nodes)
         gs, hs = g[rows], h[rows]
         G, H = gs.sum(), hs.sum()
-        nodes.append([-1, -1, -1, -1, -G / (H + _LAMBDA)])
+        nodes.append([-1, 0, -1, -G / (H + _LAMBDA)])
         leaf_rows[ni] = rows
         if depth < max_depth and len(rows) >= 2 and codes.shape[1] > 0:
             gain, f, b = _best_split_hist(codes[rows], gs, hs, G, H)
@@ -105,27 +109,13 @@ def _grow(
         _, ni, f, b, depth = heapq.heappop(heap)
         rows = leaf_rows.pop(ni)
         left = codes[rows, f] <= b
-        nodes[ni][:4] = f, b, add(rows[left], depth + 1), add(rows[~left], depth + 1)
+        nodes[ni][:3] = f, b, add(rows[left], depth + 1)
+        add(rows[~left], depth + 1)  # the right child, at left + 1
     fitted = np.empty(len(g))
     for ni, rows in leaf_rows.items():
-        fitted[rows] = nodes[ni][4]
-    return nodes, fitted
-
-
-def _predict_tree(nodes: list[list], codes: np.ndarray) -> np.ndarray:
-    """Leaf weight of every row of ``codes`` in the tree ``nodes``."""
-    out = np.empty(len(codes))
-    stack = [(0, np.arange(len(codes)))]
-    while stack:
-        ni, idx = stack.pop()
-        f, b, l, r, w = nodes[ni]
-        if f < 0:
-            out[idx] = w
-            continue
-        mask = codes[idx, f] <= b
-        stack.append((l, idx[mask]))
-        stack.append((r, idx[~mask]))
-    return out
+        fitted[rows] = nodes[ni][3]
+    f, b, c, w = np.array(nodes, dtype=np.float64).T
+    return NodeTable(f.astype(np.intp), b, c.astype(np.intp), w, np.zeros(1, np.intp)), fitted
 
 
 class _SoftmaxGBDT:
@@ -133,9 +123,11 @@ class _SoftmaxGBDT:
     num_leaves: float = math.inf
 
     def __init__(self, n_rounds: int, lr: float):
+        if n_rounds < 1:
+            raise ValueError("n_rounds must be >= 1")
         self.n_rounds = n_rounds
         self.lr = lr
-        self._trees: list[list[list]] = []
+        self._table: NodeTable | None = None
         self._classes: np.ndarray | None = None
         self._edges: list[np.ndarray] | None = None
         self._base: np.ndarray | None = None
@@ -153,31 +145,31 @@ class _SoftmaxGBDT:
         prior = onehot.mean(axis=0)
         self._base = np.log(np.maximum(prior, 1e-12))
         F = np.tile(self._base, (n, 1))
-        self._trees = []
+        trees = []
         for _ in range(self.n_rounds):
             Fs = F - F.max(axis=1, keepdims=True)
             P = np.exp(Fs)
             P /= P.sum(axis=1, keepdims=True)
             g = P - onehot          # (n, q)
             h = P * (1.0 - P)       # (n, q)
-            round_trees = []
             for k in range(q):
-                nodes, fitted = _grow(
+                tree, fitted = _grow(
                     codes, g[:, k], np.maximum(h[:, k], 1e-6), self.max_depth, self.num_leaves
                 )
                 F[:, k] += self.lr * fitted
-                round_trees.append(nodes)
-            self._trees.append(round_trees)
+                trees.append(tree)
+        self._table = concat_tables(trees)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        if self._table is None:
             raise RuntimeError("fit before predict")
         codes = _bin(check_X(X, len(self._edges)), self._edges)
         F = np.tile(self._base, (len(X), 1))
-        for round_trees in self._trees:
-            for k, nodes in enumerate(round_trees):
-                F[:, k] += self.lr * _predict_tree(nodes, codes)
+        q = len(self._classes)
+        # Round-major: tree t is class t % q's tree of round t // q.
+        for t, leaf in enumerate(route(self._table, codes)):
+            F[:, t % q] += self.lr * self._table.value[leaf]
         Fs = F - F.max(axis=1, keepdims=True)
         P = np.exp(Fs)
         return P / P.sum(axis=1, keepdims=True)

@@ -1,4 +1,5 @@
-"""CART decision tree (gini impurity, exact threshold search).
+"""CART decision tree (gini impurity, exact threshold search), and the
+node table and router that every tree model of the package predicts with.
 
 Substitute for sklearn's DecisionTreeClassifier (see DESIGN.md): same
 algorithm — binary splits minimising weighted gini, grown to purity by
@@ -29,16 +30,23 @@ A node's counts, boundary scores and thresholds are exact integers or the
 same float operations whatever the batch, the order of tied rows or the
 multiplicity encoding, so every tree equals a per-node, per-feature
 argsort scan on its own (bootstrap) sample bit for bit. Two things keep
-it so. Trees are batched only with trees of the same class count: the
-gini sums run over each tree's own class axis (``_classes``), and numpy's
-pairwise sum groups a longer axis differently. And a tree that draws a
-feature subset per node (``max_features < p``) contributes exactly one
-node per step, popped from its own stack in preorder (left child first),
-so its ``rng.choice`` draws happen in the order a recursive grower makes
-them. A tree that draws nothing takes its whole frontier each step.
-Growth is iterative, so depth is not bounded by Python's recursion limit.
+it so. Trees are batched only with trees of the same classes: the gini
+sums run over each tree's own class axis, and numpy's pairwise sum groups
+a longer axis differently. And a tree that draws a feature subset per
+node (``max_features < p``) contributes exactly one node per step, popped
+from its own stack in preorder (left child first), so its ``rng.choice``
+draws happen in the order a recursive grower makes them. A tree that
+draws nothing takes its whole frontier each step. Growth is iterative, so
+depth is not bounded by Python's recursion limit.
+
+Every tree model of the package keeps its trees in one ``NodeTable`` of
+flat arrays, as scikit-learn's ``Tree`` does, and predicts with ``route``.
+A grown tree's node values span every class of ``y``, with an exact 0 for
+a class its sample lacks.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +55,41 @@ from .validation import check_X, check_X_y
 __all__ = ["DecisionTreeClassifier"]
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "proba")
+class NodeTable(NamedTuple):
+    """Flat node arrays of one or more trees; a node id indexes every array."""
 
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.proba = None  # class distribution at leaf
+    feature: np.ndarray  # split feature; -1 marks a leaf
+    threshold: np.ndarray  # a row goes left when X[row, feature] <= threshold
+    child: np.ndarray  # left child at an internal node; the right one is child + 1
+    value: np.ndarray  # per node: class distribution (CART) or leaf weight (GBDT)
+    roots: np.ndarray  # root node of each tree
+
+
+def concat_tables(tables: list[NodeTable]) -> NodeTable:
+    """The trees of ``tables``, in order, as one table with offset node ids."""
+    offsets = np.cumsum([0] + [len(t.feature) for t in tables[:-1]])
+    tables = [t._replace(child=t.child + o, roots=t.roots + o) for t, o in zip(tables, offsets)]
+    return NodeTable(*map(np.concatenate, zip(*tables)))
+
+
+def route(table: NodeTable, X: np.ndarray) -> np.ndarray:
+    """``(trees, rows)`` leaf ids: the leaf each row of ``X`` reaches in each tree.
+
+    Each step moves every (tree, row) pair still at an internal node one level.
+    """
+    n, p = X.shape
+    feature, threshold, child = table.feature, table.threshold, table.child
+    leaf = np.repeat(table.roots, n)
+    at = np.flatnonzero(feature[leaf] >= 0)  # pairs at internal nodes
+    row_start = at % n * p  # offset of each such pair's row in X's flat buffer
+    Xf = X.reshape(-1)
+    while len(at):
+        node = leaf[at]
+        node = child[node] + (Xf[row_start + feature[node]] > threshold[node])
+        leaf[at] = node
+        inner = feature[node] >= 0
+        at, row_start = at[inner], row_start[inner]
+    return leaf.reshape(len(table.roots), n)
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -72,23 +106,23 @@ def _grow(
     max_depth: int,
     min_samples_split: int,
     max_features: int | None,
-) -> list[tuple[_Node, np.ndarray]]:
-    """Grow one tree per row of ``weights``; return each tree's (root, classes)."""
+) -> NodeTable:
+    """Grow one tree per row of ``weights``; return them as one table whose
+    values are class distributions over ``np.unique(y)``."""
     all_classes, y_code = np.unique(y, return_inverse=True)
     t_of, row_of = np.nonzero(weights > 0)
     has_class = np.zeros((len(weights), len(all_classes)), dtype=bool)
     has_class[t_of, y_code[row_of]] = True
-    q_of = has_class.sum(axis=1)
-    out: list = [None] * len(weights)
-    for q in np.unique(q_of):
-        ts = np.flatnonzero(q_of == q)
-        roots = _grow_same_q(
+    _, set_of = np.unique(has_class, axis=0, return_inverse=True)
+    groups = [np.flatnonzero(set_of == i) for i in range(set_of.max() + 1)]
+    table = concat_tables([
+        _grow_same_q(
             X, y_code, weights[ts], has_class[ts], [seeds[t] for t in ts],
             max_depth, min_samples_split, max_features,
         )
-        for t, root in zip(ts.tolist(), roots):
-            out[t] = (root, all_classes[has_class[t]])
-    return out
+        for ts in groups
+    ])
+    return table._replace(roots=table.roots[np.argsort(np.concatenate(groups))])
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
@@ -184,7 +218,7 @@ def _boundary_scores(Yw, w, ss, vals, pstart, plen, tot, m, k):
 
 
 def _grow_same_q(X, y_code, W, has_class, seeds, max_depth, min_samples_split, max_features):
-    """``_grow`` for trees whose samples hold the same number of classes."""
+    """``_grow`` for trees whose samples hold the same classes."""
     T, n = W.shape
     p = X.shape[1]
     q = int(has_class[0].sum())
@@ -326,33 +360,9 @@ def _grow_same_q(X, y_code, W, has_class, seeds, max_depth, min_samples_split, m
         else:
             open_ = np.concatenate([L[ok_l], R[ok_r]])
 
-    proba = counts[:n_nodes] / mass[:n_nodes, None]
-    nodes = [_Node() for _ in range(n_nodes)]
-    for nd, f, thr, c, pr in zip(
-        nodes, feature[:n_nodes].tolist(), threshold[:n_nodes].tolist(),
-        child[:n_nodes].tolist(), proba,
-    ):
-        nd.proba = pr
-        if f >= 0:
-            nd.feature, nd.threshold = f, thr
-            nd.left, nd.right = nodes[c], nodes[c + 1]
-    return nodes[:T]
-
-
-def _tree_proba(root: _Node, X: np.ndarray, q: int) -> np.ndarray:
-    """Leaf class distribution of every row of ``X``."""
-    out = np.empty((len(X), q))
-    # Iterative routing: partition index sets down the tree.
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.left is None:
-            out[idx] = node.proba
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+    proba = np.zeros((n_nodes, has_class.shape[1]))  # in the columns of the trees' classes
+    proba[:, has_class[0]] = counts[:n_nodes] / mass[:n_nodes, None]
+    return NodeTable(feature[:n_nodes], threshold[:n_nodes], child[:n_nodes], proba, np.arange(T))
 
 
 class DecisionTreeClassifier:
@@ -369,24 +379,25 @@ class DecisionTreeClassifier:
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.seed = seed
-        self._root: _Node | None = None
+        self._table: NodeTable | None = None
         self._classes: np.ndarray | None = None
         self._n_features: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
-        [(self._root, self._classes)] = _grow(
+        self._table = _grow(
             X, y, np.ones((1, len(X)), dtype=np.intp), [self.seed],
             self.max_depth, self.min_samples_split, self.max_features,
         )
+        self._classes = np.unique(y)
         self._n_features = X.shape[1]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self._table is None:
             raise RuntimeError("fit before predict")
         X = check_X(X, self._n_features)
-        return _tree_proba(self._root, X, len(self._classes))
+        return self._table.value[route(self._table, X)[0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._classes[np.argmax(self.predict_proba(X), axis=1)]

@@ -29,9 +29,9 @@ different shards may overlap while boundary detection still sees every
 ball — the natural data-parallel approximation. Unlike the numpy
 reference, single-class input yields no pairs and so an empty sample.
 
-The granulation task calls ``forget_zip_finders`` first, so that a reused
-Python worker does not re-read ``pyspark.zip`` before its next task (see
-``repro.harness.session``).
+The granulation task calls ``forget_zip_finders`` when it starts and when
+it ends, so that a reused Python worker does not re-read ``pyspark.zip``
+before its next task (see ``repro.harness.session``).
 """
 from __future__ import annotations
 
@@ -83,28 +83,31 @@ def granulate_partitions(
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         forget_zip_finders()
-        from pyspark import TaskContext
+        try:
+            from pyspark import TaskContext
 
-        batches = list(batches)
-        if not batches:  # empty shard
-            return
-        pdf = pd.concat(batches, ignore_index=True)
-        X = pdf[feats].to_numpy(dtype=np.float64)
-        sids = pdf[SID].to_numpy()
-        pid = TaskContext.get().partitionId()
-        gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
-        if len(gbset) == 0:
-            return
-        top, bot = ball_extremes(X, gbset)
-        yield pd.DataFrame(
-            {
-                "ball_key": (pid << 32) | np.arange(len(gbset), dtype=np.int64),
-                "label": gbset.labels().astype(np.int64),
-                "center": list(gbset.centers()),
-                "top": list(sids[top]),
-                "bot": list(sids[bot]),
-            }
-        )
+            batches = list(batches)
+            if not batches:  # empty shard
+                return
+            pdf = pd.concat(batches, ignore_index=True)
+            X = pdf[feats].to_numpy(dtype=np.float64)
+            sids = pdf[SID].to_numpy()
+            pid = TaskContext.get().partitionId()
+            gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
+            if len(gbset) == 0:
+                return
+            top, bot = ball_extremes(X, gbset)
+            yield pd.DataFrame(
+                {
+                    "ball_key": (pid << 32) | np.arange(len(gbset), dtype=np.int64),
+                    "label": gbset.labels().astype(np.int64),
+                    "center": list(gbset.centers()),
+                    "top": list(sids[top]),
+                    "bot": list(sids[bot]),
+                }
+            )
+        finally:
+            forget_zip_finders()  # and those this task's imports built
 
     return df.mapInPandas(run, schema=BALL_SCHEMA)
 

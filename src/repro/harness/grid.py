@@ -11,9 +11,9 @@ metric row emitted per (method, classifier).
 core, in one stage with no shuffle, because every Spark Python task has
 a fixed cost before any of the grid's code runs. The worker's
 ``importlib.invalidate_caches()`` makes each zip finder it holds for
-``pyspark.zip`` re-read the zip, 0.1–0.2 s per task. ``run_share`` first
-calls ``forget_zip_finders``, so a reused worker's later tasks skip that
-cost, but a worker's first task still pays it. Each fold task is seeded
+``pyspark.zip`` re-read the zip, 0.1–0.2 s per task. ``run_share`` calls
+``forget_zip_finders`` when it starts and when it ends, so a reused
+worker's later tasks skip that cost; a worker's first task still pays it. Each fold task is seeded
 from its key, so results are reproducible regardless of scheduling.
 ``run_fold_task`` is the plain-Python core, unit-testable without Spark.
 """
@@ -202,16 +202,19 @@ def run_grid(
 
     def run_share(batches):
         forget_zip_finders()
-        for batch in batches:
-            for i in batch["id"]:
-                for task in tasks[i::k]:
-                    yield run_fold_task(
-                        *task,
-                        methods=methods,
-                        classifiers=classifiers,
-                        n_splits=n_splits,
-                        rho=rho,
-                    )
+        try:
+            for batch in batches:
+                for i in batch["id"]:
+                    for task in tasks[i::k]:
+                        yield run_fold_task(
+                            *task,
+                            methods=methods,
+                            classifiers=classifiers,
+                            n_splits=n_splits,
+                            rho=rho,
+                        )
+        finally:
+            forget_zip_finders()  # and those this task's imports built
 
     # spark.range puts exactly one id in each of its k partitions.
     return spark.range(k, numPartitions=k).mapInPandas(run_share, schema=RESULT_SCHEMA)

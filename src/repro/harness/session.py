@@ -7,15 +7,15 @@ Broadcast joins are off so that a join Spark plans by itself exercises
 the shuffle path; a query that wants a broadcast join asks for it with
 ``F.broadcast`` (``gbabs_sample_df``'s semi-join does).
 
-``forget_zip_finders()`` is the first statement of every Python task
-body the repro runs. PySpark's worker calls ``importlib.invalidate_caches()``
-before each task (``worker_util.setup_spark_files``), and that makes every
-``zipimporter`` cached for ``pyspark.zip`` — one per package directory the
-worker has imported from it — re-read the zip's whole directory, 0.1–0.2 s
-per task before any repro code runs. With those finders forgotten, a
-reused worker's later tasks skip the cost. Its first task still pays it,
-and its second pays for the few finders that the first task's own imports
-built after the call.
+Every Python task body the repro runs calls ``forget_zip_finders()``
+when it starts and again, in a ``finally``, when it ends. PySpark's worker
+calls ``importlib.invalidate_caches()`` before each task
+(``worker_util.setup_spark_files``), and that makes every ``zipimporter``
+cached for ``pyspark.zip`` — one per package directory the worker has
+imported from it — re-read the zip's whole directory, 0.1–0.2 s per task
+before any repro code runs. The first call forgets the finders that the
+worker built before the task; the last forgets those that the task's own
+imports built. So only a worker's first task pays the cost.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classifiers import CLASSIFIER_NAMES, knn, make_classifier
+from repro.classifiers import forest as forest_module
 from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.gbdt import LightGBMLikeClassifier, XGBoostLikeClassifier
 from repro.classifiers.knn import KNNClassifier
@@ -150,14 +151,21 @@ def test_zero_features_fit_the_prior(cls):
 def test_zero_feature_tree_is_one_leaf():
     y = np.array([0, 1, 1, 2, 2, 2])
     clf = DecisionTreeClassifier().fit(np.empty((6, 0)), y)
-    assert clf._root.left is None
-    assert clf._root.proba.tolist() == [1 / 6, 2 / 6, 3 / 6]
+    [(feature, _, value)] = _preorder(clf._table)
+    assert feature == -1
+    assert value.tolist() == [1 / 6, 2 / 6, 3 / 6]
 
 
 @pytest.mark.parametrize("n_estimators", [0, -3])
 def test_forest_rejects_no_trees(n_estimators):
     with pytest.raises(ValueError, match="n_estimators"):
         RandomForestClassifier(n_estimators=n_estimators)
+
+
+@pytest.mark.parametrize("cls", [XGBoostLikeClassifier, LightGBMLikeClassifier])
+def test_gbdt_rejects_no_rounds(cls):
+    with pytest.raises(ValueError, match="n_rounds"):
+        cls(n_rounds=0)
 
 
 class TestDecisionTree:
@@ -169,8 +177,8 @@ class TestDecisionTree:
     def test_max_depth_limits_tree(self):
         X, y = _easy(n=300)
         stump = DecisionTreeClassifier(max_depth=1).fit(X, y)
-        root = stump._root
-        assert root.left is not None and root.left.left is None
+        feature, child = stump._table.feature, stump._table.child
+        assert feature[0] >= 0 and feature[child[0]] == -1
 
     def test_proba_rows_sum_to_one(self):
         X, y = _easy(q=3)
@@ -187,7 +195,7 @@ class TestDecisionTree:
         X = np.ones((40, 3))
         y = np.array([0, 1] * 20)
         clf = DecisionTreeClassifier().fit(X, y)
-        assert clf._root.left is None  # unsplittable → leaf
+        assert clf._table.feature.tolist() == [-1]  # unsplittable → leaf
 
 
 class TestForest:
@@ -203,7 +211,7 @@ class TestForest:
     def test_n_estimators_respected(self):
         X, y = _easy(n=100)
         clf = RandomForestClassifier(n_estimators=5).fit(X, y)
-        assert len(clf._trees) == 5
+        assert len(clf._table.roots) == 5
 
 
 class TestKNN:
@@ -306,13 +314,30 @@ def _oracle_tree(X, y, max_depth=None, min_samples_split=2, max_features=None, s
     return out
 
 
-def _preorder(clf):
-    out, stack = [], [clf._root]
+def _preorder(table, root=0):
+    """Preorder ``(feature, threshold, value)`` of the tree at ``root`` of a node table."""
+    out, stack = [], [root]
     while stack:
-        node = stack.pop()
-        out.append([node.feature, node.threshold, node.proba])
-        if node.left is not None:
-            stack += [node.right, node.left]
+        i = stack.pop()
+        out.append([table.feature[i], table.threshold[i], table.value[i]])
+        if table.feature[i] >= 0:
+            stack += [table.child[i] + 1, table.child[i]]
+    return out
+
+
+def _walk(nodes, X):
+    """Each row's leaf value in a preorder ``(feature, threshold, value)`` tree,
+    one node at a time: a node sends its rows with ``x[feature] <= threshold``
+    left (reference)."""
+    out = np.empty((len(X), len(nodes[0][2])))
+    stack = [np.arange(len(X))]  # the rows of the nodes still to visit
+    for f, thr, value in nodes:
+        rows = stack.pop()
+        if f < 0:
+            out[rows] = value
+        else:
+            left = X[rows, f] <= thr
+            stack += [rows[~left], rows[left]]
     return out
 
 
@@ -323,9 +348,12 @@ def _assert_same_tree(got, want):
         assert pr.shape == pro.shape and pr.tobytes() == pro.tobytes()
 
 
-def _check_tree(X, y, **kw):
+def _check_tree(X, y, X_test=None, **kw):
     clf = DecisionTreeClassifier(**kw).fit(X, y)
-    _assert_same_tree(_preorder(clf), _oracle_tree(X, y, **kw))
+    want = _oracle_tree(X, y, **kw)
+    _assert_same_tree(_preorder(clf._table), want)
+    X_test = X if X_test is None else X_test
+    assert clf.predict_proba(X_test).tobytes() == _walk(want, X_test).tobytes()
 
 
 class TestPresortedCartEquivalence:
@@ -350,6 +378,11 @@ class TestPresortedCartEquivalence:
         y = (X[:, 0] + rng.integers(0, 2, 400)) % 3
         _check_tree(X, y)
 
+    @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
+    def test_datasets_match_per_node_argsort(self, dataset):
+        X, y, X_test = _fold0(dataset, 0.2)
+        _check_tree(X, y, X_test)
+
     @pytest.mark.parametrize("depth, split", [(2, 2), (4, 10), (None, 25)])
     def test_stopping_rules(self, depth, split):
         X, y = _easy(q=3, n=300, seed=3)
@@ -362,10 +395,10 @@ class TestPresortedCartEquivalence:
         forest = RandomForestClassifier(n_estimators=3, seed=seed).fit(X, y)
         rng = np.random.default_rng(seed)
         k = max(1, int(np.sqrt(X.shape[1])))
-        for t, tree in enumerate(forest._trees):
+        for t, (_, got) in enumerate(_forest_trees(forest)):
             idx = rng.integers(0, len(X), len(X))  # bootstrap, with duplicates
             want = _oracle_tree(X[idx], y[idx], max_features=k, seed=seed * 1000 + t)
-            _assert_same_tree(_preorder(tree), want)
+            _assert_same_tree(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -380,7 +413,20 @@ class TestPresortedCartEquivalence:
         rng = np.random.default_rng(seed)
         X = rng.integers(0, levels, (n, p)) * 0.5 - 1.0  # coarse grid: ties
         y = rng.integers(0, q, n)
-        _check_tree(X, y, max_features=max_features, seed=seed)
+        _check_tree(X, y, _at_thresholds(rng, levels, p), max_features=max_features, seed=seed)
+
+
+def _at_thresholds(rng, levels, p):
+    """Test rows on the grid of ``levels`` values and the midpoints between
+    them, where every split of a tree grown on that grid puts its threshold."""
+    return rng.integers(0, 2 * levels - 1, (30, p)) * 0.25 - 1.0
+
+
+def test_rows_at_a_threshold_go_left():
+    X = np.array([[0.0], [1.0]])
+    clf = DecisionTreeClassifier().fit(X, np.array([0, 1]))
+    assert clf._table.threshold[0] == 0.5
+    assert clf.predict(np.array([[0.5], [np.nextafter(0.5, 1.0)]])).tolist() == [0, 1]
 
 
 def test_deep_tree_fits_without_recursion():
@@ -398,7 +444,7 @@ def test_threshold_between_adjacent_floats_separates():
     X = np.array([[lo], [np.nextafter(lo, 2.0)]])
     y = np.array([0, 1])
     clf = DecisionTreeClassifier().fit(X, y)
-    assert clf._root.left is not None
+    assert clf._table.feature[0] == 0
     assert (clf.predict(X) == y).all()
 
 
@@ -653,37 +699,81 @@ def _oracle_forest(X, y, n_estimators, max_depth, seed):
     return trees
 
 
-def _check_forest(X, y, n_estimators=30, max_depth=None, seed=1):
+def _forest_trees(forest):
+    """Each tree of a fitted forest as ``(classes, preorder)`` over its own classes.
+
+    A tree's own classes are those of its bootstrap, the ones its root
+    holds; every other class must read an exact 0 in each of its nodes.
+    """
+    table = forest._table
+    for root in table.roots:
+        nodes = _preorder(table, root)
+        own = nodes[0][2] > 0
+        assert all(not value[~own].any() for _, _, value in nodes)
+        yield forest._classes[own], [[f, t, value[own]] for f, t, value in nodes]
+
+
+def _oracle_forest_proba(trees, classes, X):
+    """Soft vote of per-tree reference walks, each tree on its own class axis."""
+    agg = np.zeros((len(X), len(classes)))
+    for nodes, tree_classes in trees:
+        agg[:, np.searchsorted(classes, tree_classes)] += _walk(nodes, X)
+    return agg / len(trees)
+
+
+def _check_forest(X, y, n_estimators=30, max_depth=None, seed=1, X_test=None):
     forest = RandomForestClassifier(n_estimators, max_depth=max_depth, seed=seed).fit(X, y)
     want = _oracle_forest(X, y, n_estimators, max_depth, seed)
-    assert len(forest._trees) == len(want)
-    for tree, (nodes, classes) in zip(forest._trees, want):
-        assert tree._classes.dtype == classes.dtype
-        assert np.array_equal(tree._classes, classes)
-        _assert_same_tree(_preorder(tree), nodes)
+    got = list(_forest_trees(forest))
+    assert len(got) == len(want)
+    for (tree_classes, nodes), (want_nodes, classes) in zip(got, want):
+        assert tree_classes.dtype == classes.dtype
+        assert np.array_equal(tree_classes, classes)
+        _assert_same_tree(nodes, want_nodes)
+    X_test = X if X_test is None else X_test
+    proba = forest.predict_proba(X_test)
+    assert proba.tobytes() == _oracle_forest_proba(want, forest._classes, X_test).tobytes()
     return forest
+
+
+def _tree_class_counts(forest):
+    return [len(classes) for classes, _ in _forest_trees(forest)]
 
 
 def _fold0_2(dataset, noise):
     X, y, _ = load_dataset(dataset, noise_ratio=noise, noise_seed=0)
-    tr, _ = stratified_kfold(y, n_splits=2, seed=0)[0]
-    return X[tr], y[tr]
+    tr, te = stratified_kfold(y, n_splits=2, seed=0)[0]
+    return X[tr], y[tr], X[te]
 
 
 class TestForestEquivalence:
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     @pytest.mark.parametrize("dataset", [f"S{i}" for i in range(1, 14)])
     def test_datasets_match_per_tree_loop(self, dataset, noise):
-        forest = _check_forest(*_fold0_2(dataset, noise))
+        X, y, X_test = _fold0_2(dataset, noise)
+        forest = _check_forest(X, y, X_test=X_test)
         if dataset in ("S6", "S11") and noise == 0.0:
             # rare classes: some bootstrap misses one, and its tree keeps
             # its own, shorter class axis
-            assert any(len(t._classes) < len(forest._classes) for t in forest._trees)
+            assert min(_tree_class_counts(forest)) < len(forest._classes)
 
     @pytest.mark.parametrize("max_depth", [2, 5])
     @pytest.mark.parametrize("dataset", ["S1", "S3", "S6", "S11", "S13"])
     def test_depth_limits(self, dataset, max_depth):
-        _check_forest(*_fold0_2(dataset, 0.2), max_depth=max_depth)
+        X, y, X_test = _fold0_2(dataset, 0.2)
+        _check_forest(X, y, max_depth=max_depth, X_test=X_test)
+
+    @pytest.mark.parametrize("dataset", ["S6", "S13"])
+    def test_groups_of_trees_match_per_tree_loop(self, dataset):
+        # A cap of a few trees' blocks: the forest grows in several groups.
+        X, y, X_test = _fold0_2(dataset, 0.0)
+        cap = 3 * 8 * X.shape[1] * len(X) // 2
+        with mock.patch.object(forest_module, "GROUP_BYTES", cap), \
+                mock.patch.object(forest_module, "_grow", wraps=forest_module._grow) as grow:
+            fitted = _check_forest(X, y, X_test=X_test)
+        assert 3 < grow.call_count < 30
+        if dataset == "S6":
+            assert min(_tree_class_counts(fitted)) < len(fitted._classes)
 
     def test_missing_rare_class_among_many(self):
         # 10 classes, one of them a single row: trees with 9 and with 10
@@ -694,7 +784,7 @@ class TestForestEquivalence:
         y = rng.integers(0, 9, 300)
         y[17] = 9
         forest = _check_forest(X, y, n_estimators=12, seed=3)
-        assert {len(t._classes) for t in forest._trees} == {9, 10}
+        assert set(_tree_class_counts(forest)) == {9, 10}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -710,7 +800,7 @@ class TestForestEquivalence:
         rng = np.random.default_rng(seed)
         X = rng.integers(0, levels, (n, p)) * 0.5 - 1.0  # coarse grid: ties
         y = rng.integers(0, q, n)
-        _check_forest(X, y, n_estimators, max_depth, seed)
+        _check_forest(X, y, n_estimators, max_depth, seed, _at_thresholds(rng, levels, p))
 
 
 def test_class_sum_matches_numpy_row_sum():

@@ -3,9 +3,12 @@ import importlib
 import sys
 import zipfile
 import zipimport
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.spark_gbabs import granulate_partitions
+from repro.harness.grid import run_grid
 from repro.harness.session import forget_zip_finders
 
 
@@ -59,3 +62,37 @@ def test_forget_zip_finders(zip_package, monkeypatch):
     assert isinstance(zpkg.second.__loader__, zipimport.zipimporter)
     # Its finder came from zipimport's shared directory cache, not the zip.
     assert reads == []
+
+
+class _CapturedBody:
+    """Stands in for a session and a DataFrame; keeps the ``mapInPandas`` body."""
+
+    sparkContext = SimpleNamespace(defaultParallelism=1)
+    columns = ["f0", "label", "_sid"]
+    body = None
+
+    def range(self, *args, **kwargs):
+        return self
+
+    def mapInPandas(self, body, schema):
+        self.body = body
+        return self
+
+
+def _importing(batches):
+    """The task's input, which imports from the zip while it is read."""
+    import zpkg.first  # noqa: F401
+
+    assert _zip_finders()
+    yield from batches
+
+
+@pytest.mark.parametrize("task", ["run_grid", "granulate_partitions"])
+def test_task_body_leaves_no_zip_finder(zip_package, task):
+    captured = _CapturedBody()
+    if task == "run_grid":
+        run_grid(captured, datasets=["S1"], n_splits=2)
+    else:
+        granulate_partitions(captured)
+    assert list(captured.body(_importing([]))) == []
+    assert not _zip_finders()
