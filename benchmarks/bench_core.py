@@ -78,10 +78,10 @@ def test_bench_gbabs_spark_distributed(benchmark, spark, s5):
 
 def test_bench_spark_python_task(benchmark, spark):
     """Fixed cost of Python tasks: a warm 4-partition no-op mapInPandas."""
-    from repro.harness.session import forget_zip_finders
+    from repro.harness.session import python_task
 
+    @python_task
     def noop(batches):
-        forget_zip_finders()
         yield from batches
 
     df = spark.range(4, numPartitions=4)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.granular_ball import GBSet, GranularBall
+from ..core.rdgbg import check_points
 
 __all__ = ["k_division_gbg"]
 
@@ -32,9 +33,12 @@ def _make_ball(X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> GranularBall:
 def k_division_gbg(
     X: np.ndarray, y: np.ndarray, purity_threshold: float = 1.0, seed: int = 0
 ) -> GBSet:
-    """Split until each ball is pure enough or small (``<= 2p`` samples)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    """Split until each ball is pure enough or small (``<= 2p`` samples).
+
+    Raises ``ValueError`` unless ``X`` is finite and 2-D and ``y`` 1-D of
+    the same length (``rd_gbg``'s checks).
+    """
+    X, y = check_points(X, y)
     if len(X) == 0:
         return GBSet()
     p = X.shape[1]

@@ -19,8 +19,10 @@ keeps the signature difference between the real libraries:
   (default 15), learning rate 0.1 (lightgbm defaults, leaves scaled down
   with the datasets).
 
-A fitted model is one node table of ``tree.py``, bins as thresholds,
-predicted through CART's router on the binned rows.
+A fitted model is one node table of ``tree.py``, routed on raw rows by
+CART's router: a split on bin ``b`` of feature ``f`` keeps ``edges[f][b]``
+as its threshold, as ``code <= b`` exactly when ``x <= edges[f][b]`` (a
+chosen bin has rows right of it, so ``b < len(edges[f])``).
 
 30 boosting rounds instead of 100 for the experiment grid's time budget
 (DESIGN.md). Binary problems are trained as 2-class softmax — equivalent
@@ -79,16 +81,16 @@ def _best_split_hist(
 
 
 def _grow(
-    codes: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: float, num_leaves: float
+    codes: np.ndarray, edges: list, g: np.ndarray, h: np.ndarray, max_depth: float, num_leaves: float
 ) -> tuple[NodeTable, np.ndarray]:
     """Best-first regression tree on binned ``codes``, gradients g, hessians h.
 
-    Returns ``(tree, fitted)``: a node table whose thresholds are bins and
-    whose values are leaf weights, and every training row's leaf weight.
+    Returns ``(tree, fitted)``: a node table whose thresholds are ``edges``
+    values and whose values are leaf weights, and every training row's leaf weight.
     The open leaf of highest gain splits next; equal gains go to the leaf
     made first.
     """
-    nodes: list[list] = []  # [feature, bin, left child, weight]
+    nodes: list[list] = []  # [feature, edge, left child, weight]
     leaf_rows: dict[int, np.ndarray] = {}
     heap: list[tuple[float, int, int, int, int]] = []
 
@@ -109,7 +111,7 @@ def _grow(
         _, ni, f, b, depth = heapq.heappop(heap)
         rows = leaf_rows.pop(ni)
         left = codes[rows, f] <= b
-        nodes[ni][:3] = f, b, add(rows[left], depth + 1)
+        nodes[ni][:3] = f, edges[f][b], add(rows[left], depth + 1)
         add(rows[~left], depth + 1)  # the right child, at left + 1
     fitted = np.empty(len(g))
     for ni, rows in leaf_rows.items():
@@ -129,7 +131,7 @@ class _SoftmaxGBDT:
         self.lr = lr
         self._table: NodeTable | None = None
         self._classes: np.ndarray | None = None
-        self._edges: list[np.ndarray] | None = None
+        self._n_features: int | None = None
         self._base: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
@@ -137,8 +139,8 @@ class _SoftmaxGBDT:
         self._classes, y_enc = np.unique(y, return_inverse=True)
         q = len(self._classes)
         qs = np.linspace(0, 1, _N_BINS + 1)[1:-1]
-        self._edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
-        codes = _bin(X, self._edges)
+        edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
+        codes = _bin(X, edges)
         n = len(X)
         onehot = np.zeros((n, q))
         onehot[np.arange(n), y_enc] = 1.0
@@ -154,21 +156,22 @@ class _SoftmaxGBDT:
             h = P * (1.0 - P)       # (n, q)
             for k in range(q):
                 tree, fitted = _grow(
-                    codes, g[:, k], np.maximum(h[:, k], 1e-6), self.max_depth, self.num_leaves
+                    codes, edges, g[:, k], np.maximum(h[:, k], 1e-6), self.max_depth, self.num_leaves
                 )
                 F[:, k] += self.lr * fitted
                 trees.append(tree)
         self._table = concat_tables(trees)
+        self._n_features = X.shape[1]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._table is None:
             raise RuntimeError("fit before predict")
-        codes = _bin(check_X(X, len(self._edges)), self._edges)
+        X = check_X(X, self._n_features)
         F = np.tile(self._base, (len(X), 1))
         q = len(self._classes)
         # Round-major: tree t is class t % q's tree of round t // q.
-        for t, leaf in enumerate(route(self._table, codes)):
+        for t, leaf in enumerate(route(self._table, X)):
             F[:, t % q] += self.lr * self._table.value[leaf]
         Fs = F - F.max(axis=1, keepdims=True)
         P = np.exp(Fs)

@@ -19,8 +19,6 @@ and ``bot[upper, dim]`` over all borderline pairs. The distributed variant
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .granular_ball import GBSet
@@ -29,24 +27,18 @@ from .rdgbg import rd_gbg
 __all__ = ["ball_extremes", "borderline_pairs", "gbabs_from_balls", "gbabs_sample"]
 
 
-def borderline_pairs(
-    centers: np.ndarray, labels: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """All ``(dim, lower_ball, upper_ball)`` adjacent heterogeneous pairs.
+def borderline_pairs(centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """All adjacent heterogeneous pairs, as ``(n_pairs, 3)`` int rows
+    ``(dim, lower_ball, upper_ball)`` in dimension-major order.
 
     Adjacency is in the sorted order of center coordinates per dimension;
-    ties are broken by ball index so the result is deterministic.
+    ties are broken by ball index (a stable sort) so the result is
+    deterministic.
     """
-    out: list[tuple[int, int, int]] = []
-    m, p = centers.shape
-    if m < 2:
-        return out
-    for dim in range(p):
-        order = np.lexsort((np.arange(m), centers[:, dim]))
-        lo, hi = order[:-1], order[1:]
-        het = labels[lo] != labels[hi]
-        out.extend(zip(itertools.repeat(dim), lo[het].tolist(), hi[het].tolist()))
-    return out
+    order = np.argsort(centers, axis=0, kind="stable")
+    lo, hi = order[:-1], order[1:]
+    dim, i = np.nonzero((labels[lo] != labels[hi]).T)
+    return np.stack([dim, lo[i, dim], hi[i, dim]], axis=1)
 
 
 def ball_extremes(X: np.ndarray, gbset: GBSet) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +68,12 @@ def gbabs_from_balls(X: np.ndarray, gbset: GBSet) -> np.ndarray:
     if len(gbset) == 0:
         return np.array([], dtype=np.int64)
     pairs = borderline_pairs(gbset.centers(), gbset.labels())
-    if not pairs:
+    if len(pairs) == 0:
         # Degenerate single-class input: no boundary exists. Keep one
         # representative (the center) per ball so downstream training has
         # data; documented deviation for a case the paper never hits.
         return np.unique([b.idx[0] for b in gbset.balls]).astype(np.int64)
-    dim, lo, hi = np.array(pairs).T
+    dim, lo, hi = pairs.T
     top, bot = ball_extremes(X, gbset)
     # lower ball's max facing up, upper ball's min facing down
     return np.unique(np.concatenate([top[lo, dim], bot[hi, dim]])).astype(np.int64)

@@ -63,7 +63,7 @@ import numpy as np
 
 from .granular_ball import GBSet, GranularBall
 
-__all__ = ["rd_gbg"]
+__all__ = ["check_points", "rd_gbg"]
 
 
 def _distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,7 +74,11 @@ def _distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def _validate(X: np.ndarray, y: np.ndarray, rho) -> None:
+def check_points(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as arrays, X float64; raises ``ValueError`` unless ``X`` is
+    finite and 2-D and ``y`` 1-D of the same length."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-D (rows, features) array, got shape {X.shape}")
     if y.ndim != 1:
@@ -83,6 +87,10 @@ def _validate(X: np.ndarray, y: np.ndarray, rho) -> None:
         raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite (no NaN or inf)")
+    return X, y
+
+
+def _validate(y: np.ndarray, rho) -> None:
     if isinstance(rho, bool) or not isinstance(rho, (int, np.integer)) or rho < 2:
         raise ValueError(f"density tolerance rho must be an integer >= 2, got {rho!r}")
     if y.dtype.kind not in "biuf":
@@ -100,9 +108,8 @@ def rd_gbg(X: np.ndarray, y: np.ndarray, rho: int = 5, seed: int = 0) -> GBSet:
     ``y`` a 1-D array of integer-valued labels of the same length, and
     ``rho`` an integer ``>= 2``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    _validate(X, y, rho)
+    X, y = check_points(X, y)
+    _validate(y, rho)
     n = len(X)
     if n == 0:
         return GBSet()

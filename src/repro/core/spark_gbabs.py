@@ -5,18 +5,18 @@ global and relational. A ball never spans partitions, so everything
 Algorithm 2 needs from a ball is known in the task that builds it:
 
 * ``granulate_partitions`` — runs RD-GBG **per partition** with
-  ``mapInPandas`` and emits the **ball table**, one row per ball:
-  ``ball_key`` (``partition << 32 | ball``), ``label``, the ``center``
-  coordinates, and per dimension the ``_sid`` of the ball's arg-max
-  (``top``) and arg-min (``bot``) member — its two facing extremes, from
-  the numpy reference's ``ball_extremes``.
-  Class-noise rows detected by RD-GBG belong to no ball.
-* ``borderline_pairs_df`` — explodes the ball table to one row per
-  ``(dim, val)`` and finds, per dimension, adjacent centers with
-  different labels using a Catalyst window (``lead`` over
-  ``ORDER BY val, ball_key``). Each pair carries the lower ball's ``top``
-  and the upper ball's ``bot``. This step is oracle-checked against an
-  equivalent DuckDB window query in tests.
+  ``mapInPandas`` and emits the **(ball, dimension) table** that
+  Algorithm 2 reads, one row per ball and feature dimension: ``dim``, the
+  ball's center coordinate ``val`` in it, ``ball_key`` (``partition << 32
+  | ball``), ``label``, and the ``_sid`` of the ball's arg-max (``top``)
+  and arg-min (``bot``) member in that dimension — its two facing
+  extremes, from the numpy reference's ``ball_extremes``. Class-noise rows
+  detected by RD-GBG belong to no ball.
+* ``borderline_pairs_df`` — finds, per dimension, adjacent centers with
+  different labels using a Catalyst window (``lead`` over ``PARTITION BY
+  dim ORDER BY val, ball_key``). Each pair carries the lower ball's
+  ``top`` and the upper ball's ``bot``. This step is oracle-checked
+  against the same DuckDB window query in tests.
 * ``gbabs_sample_df`` — left-semi-joins the original rows on the pairs'
   two sample ids. The ids are broadcast, so ``df`` is not shuffled for
   the join.
@@ -28,10 +28,6 @@ With more partitions each shard granulates locally, so balls from
 different shards may overlap while boundary detection still sees every
 ball — the natural data-parallel approximation. Unlike the numpy
 reference, single-class input yields no pairs and so an empty sample.
-
-The granulation task calls ``forget_zip_finders`` when it starts and when
-it ends, so that a reused Python worker does not re-read ``pyspark.zip``
-before its next task (see ``repro.harness.session``).
 """
 from __future__ import annotations
 
@@ -39,11 +35,12 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import TaskContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from ..harness.session import forget_zip_finders
+from ..harness.session import python_task
 from .gbabs import ball_extremes
 from .rdgbg import rd_gbg
 
@@ -56,7 +53,7 @@ __all__ = [
 
 SID = "_sid"
 
-BALL_SCHEMA = "ball_key long, label long, center array<double>, top array<long>, bot array<long>"
+BALL_SCHEMA = "dim int, val double, ball_key long, label long, top long, bot long"
 
 
 def to_spark_df(spark: SparkSession, X: np.ndarray, y: np.ndarray) -> DataFrame:
@@ -71,43 +68,40 @@ def to_spark_df(spark: SparkSession, X: np.ndarray, y: np.ndarray) -> DataFrame:
 def granulate_partitions(
     df: DataFrame, *, rho: int = 5, seed: int = 0, num_partitions: int | None = None
 ) -> DataFrame:
-    """Per-partition RD-GBG: the ball table, one row per ball.
+    """Per-partition RD-GBG: the (ball, dimension) table.
 
     Features are every column of ``df`` except ``label`` and ``_sid``.
-    Output columns: ``ball_key``, ``label``, ``center``, ``top``, ``bot``
-    (see the module docstring).
+    Output columns: ``dim``, ``val``, ``ball_key``, ``label``, ``top``,
+    ``bot`` (see the module docstring), ball-major.
     """
     feats = [c for c in df.columns if c not in ("label", SID)]
     if num_partitions is not None:
         df = df.repartition(num_partitions)
 
+    @python_task
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        forget_zip_finders()
-        try:
-            from pyspark import TaskContext
-
-            batches = list(batches)
-            if not batches:  # empty shard
-                return
-            pdf = pd.concat(batches, ignore_index=True)
-            X = pdf[feats].to_numpy(dtype=np.float64)
-            sids = pdf[SID].to_numpy()
-            pid = TaskContext.get().partitionId()
-            gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
-            if len(gbset) == 0:
-                return
-            top, bot = ball_extremes(X, gbset)
-            yield pd.DataFrame(
-                {
-                    "ball_key": (pid << 32) | np.arange(len(gbset), dtype=np.int64),
-                    "label": gbset.labels().astype(np.int64),
-                    "center": list(gbset.centers()),
-                    "top": list(sids[top]),
-                    "bot": list(sids[bot]),
-                }
-            )
-        finally:
-            forget_zip_finders()  # and those this task's imports built
+        batches = list(batches)
+        if not batches:  # empty shard
+            return
+        pdf = pd.concat(batches, ignore_index=True)
+        X = pdf[feats].to_numpy(dtype=np.float64)
+        sids = pdf[SID].to_numpy()
+        pid = TaskContext.get().partitionId()
+        gbset = rd_gbg(X, pdf["label"].to_numpy(), rho=rho, seed=seed + pid)
+        if len(gbset) == 0:
+            return
+        top, bot = ball_extremes(X, gbset)
+        m, p = top.shape
+        yield pd.DataFrame(
+            {
+                "dim": np.tile(np.arange(p, dtype=np.int32), m),
+                "val": gbset.centers().ravel(),
+                "ball_key": np.repeat((pid << 32) | np.arange(m, dtype=np.int64), p),
+                "label": np.repeat(gbset.labels().astype(np.int64), p),
+                "top": sids[top].ravel(),
+                "bot": sids[bot].ravel(),
+            }
+        )
 
     return df.mapInPandas(run, schema=BALL_SCHEMA)
 
@@ -115,19 +109,16 @@ def granulate_partitions(
 def borderline_pairs_df(balls: DataFrame) -> DataFrame:
     """Adjacent heterogeneous center pairs per dimension (Catalyst window).
 
-    Input: the ball table of :func:`granulate_partitions`. Output columns:
-    ``dim``, ``lo_ball``, ``hi_ball`` — the lower/upper ball keys of each
-    heterogeneous adjacency in the per-dimension center ordering (ties
-    broken by ball_key, matching the numpy reference's lexsort) — and
+    Input: the (ball, dimension) table of :func:`granulate_partitions`.
+    Output columns: ``dim``, ``lo_ball``, ``hi_ball`` — the lower/upper
+    ball keys of each heterogeneous adjacency in the per-dimension center
+    ordering (ties broken by ball_key, as in the numpy reference) — and
     ``lo_sid``/``hi_sid``, the lower ball's ``top`` and the upper ball's
     ``bot`` sample in that dimension.
     """
-    long = balls.selectExpr(
-        "ball_key", "label", "posexplode(arrays_zip(center, top, bot)) AS (dim, z)"
-    ).select("dim", "ball_key", "label", "z.top", "z.bot", F.col("z.center").alias("val"))
     w = Window.partitionBy("dim").orderBy("val", "ball_key")
     return (
-        long.select(
+        balls.select(
             "dim",
             "label",
             F.col("ball_key").alias("lo_ball"),
@@ -151,5 +142,5 @@ def gbabs_sample_df(
     """
     balls = granulate_partitions(df, rho=rho, seed=seed, num_partitions=num_partitions)
     pairs = borderline_pairs_df(balls)
-    picked = pairs.select(F.explode(F.array("lo_sid", "hi_sid")).alias(SID))
+    picked = pairs.selectExpr(f"stack(2, lo_sid, hi_sid) AS {SID}")
     return df.join(F.broadcast(picked), on=SID, how="left_semi")

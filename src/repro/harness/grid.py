@@ -9,12 +9,9 @@ metric row emitted per (method, classifier).
 
 ``run_grid`` deals the task list round-robin over one Python task per
 core, in one stage with no shuffle, because every Spark Python task has
-a fixed cost before any of the grid's code runs. The worker's
-``importlib.invalidate_caches()`` makes each zip finder it holds for
-``pyspark.zip`` re-read the zip, 0.1–0.2 s per task. ``run_share`` calls
-``forget_zip_finders`` when it starts and when it ends, so a reused
-worker's later tasks skip that cost; a worker's first task still pays it. Each fold task is seeded
-from its key, so results are reproducible regardless of scheduling.
+a fixed cost before any of the grid's code runs (its body is wrapped in
+``session.python_task``). Each fold task is seeded from its key, so
+results are reproducible regardless of scheduling.
 ``run_fold_task`` is the plain-Python core, unit-testable without Spark.
 """
 from __future__ import annotations
@@ -33,7 +30,7 @@ from ..classifiers import CLASSIFIER_NAMES, accuracy, g_mean, make_classifier
 from ..core.gbabs import gbabs_sample
 from ..datasets.registry import REGISTRY, load_dataset
 from ..stats.crossval import stratified_kfold
-from .session import forget_zip_finders
+from .session import python_task
 
 __all__ = [
     "DEFAULT_METHODS",
@@ -200,21 +197,18 @@ def run_grid(
     ]
     k = max(1, min(len(tasks), spark.sparkContext.defaultParallelism))
 
+    @python_task
     def run_share(batches):
-        forget_zip_finders()
-        try:
-            for batch in batches:
-                for i in batch["id"]:
-                    for task in tasks[i::k]:
-                        yield run_fold_task(
-                            *task,
-                            methods=methods,
-                            classifiers=classifiers,
-                            n_splits=n_splits,
-                            rho=rho,
-                        )
-        finally:
-            forget_zip_finders()  # and those this task's imports built
+        for batch in batches:
+            for i in batch["id"]:
+                for task in tasks[i::k]:
+                    yield run_fold_task(
+                        *task,
+                        methods=methods,
+                        classifiers=classifiers,
+                        n_splits=n_splits,
+                        rho=rho,
+                    )
 
     # spark.range puts exactly one id in each of its k partitions.
     return spark.range(k, numPartitions=k).mapInPandas(run_share, schema=RESULT_SCHEMA)

@@ -50,7 +50,7 @@ def _exact_sf_counts(n: int) -> np.ndarray:
     counts[0] = 1.0
     for r in range(1, n + 1):
         shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r] if r > 0 else counts
+        shifted[r:] = counts[:-r]
         counts = counts + shifted
     return counts
 
@@ -80,7 +80,6 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray) -> WilcoxonResult:
         return WilcoxonResult(stat, float(p), n, "exact")
     # normal approximation with tie correction
     mean = n * (n + 1) / 4.0
-    tie_term = 0.0
     _, tie_counts = np.unique(np.abs(d), return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts) / 2.0).sum())
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 24.0

@@ -14,38 +14,59 @@ from repro.datasets.generators import make_blobs_classification
 from repro.datasets.registry import load_dataset
 
 
+def _pairs_loop(centers, labels):
+    """Per-dimension lexsort loop over ``(dim, lower, upper)`` (reference)."""
+    out = []
+    m, p = centers.shape
+    for dim in range(p):
+        order = np.lexsort((np.arange(m), centers[:, dim]))
+        lo, hi = order[:-1], order[1:]
+        het = labels[lo] != labels[hi]
+        out += [[dim, a, b] for a, b in zip(lo[het].tolist(), hi[het].tolist())]
+    return out
+
+
 class TestBorderlinePairs:
     def test_simple_line(self):
         # centers on a line: labels 0,0,1,1 → one heterogeneous adjacency
         centers = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([0, 0, 1, 1])
         pairs = borderline_pairs(centers, labels)
-        assert pairs == [(0, 1, 2)]
+        assert pairs.tolist() == [[0, 1, 2]]
 
     def test_alternating_labels(self):
         centers = np.array([[0.0], [1.0], [2.0]])
         labels = np.array([0, 1, 0])
         pairs = borderline_pairs(centers, labels)
-        assert pairs == [(0, 0, 1), (0, 1, 2)]
+        assert pairs.tolist() == [[0, 0, 1], [0, 1, 2]]
 
     def test_homogeneous_no_pairs(self):
         centers = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert borderline_pairs(centers, np.array([1, 1])) == []
+        assert borderline_pairs(centers, np.array([1, 1])).shape == (0, 3)
 
     def test_two_dims_detect_different_pairs(self):
         # along x: 0(a) then 1(b); along y: 1(b) then 0(a) — both dims report
         centers = np.array([[0.0, 1.0], [1.0, 0.0]])
         labels = np.array([0, 1])
-        pairs = borderline_pairs(centers, labels)
-        assert (0, 0, 1) in pairs and (1, 1, 0) in pairs
+        pairs = borderline_pairs(centers, labels).tolist()
+        assert [0, 0, 1] in pairs and [1, 1, 0] in pairs
 
     def test_single_ball_no_pairs(self):
-        assert borderline_pairs(np.array([[0.0]]), np.array([0])) == []
+        assert borderline_pairs(np.array([[0.0]]), np.array([0])).shape == (0, 3)
 
     def test_ties_deterministic(self):
         centers = np.zeros((3, 1))  # all tied → order by ball index
         labels = np.array([0, 1, 0])
-        assert borderline_pairs(centers, labels) == [(0, 0, 1), (0, 1, 2)]
+        assert borderline_pairs(centers, labels).tolist() == [[0, 0, 1], [0, 1, 2]]
+
+    def test_matches_per_dimension_loop(self):
+        """Same pairs in the same order as the lexsort loop, on tied integer centers."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, p = rng.integers(0, 40), rng.integers(1, 5)
+            centers = rng.integers(0, 5, (m, p)).astype(np.float64)
+            labels = rng.integers(0, 3, m)
+            assert borderline_pairs(centers, labels).tolist() == _pairs_loop(centers, labels)
 
 
 class TestGbabsFromBalls:

@@ -82,3 +82,29 @@ def test_pure_input_single_ball():
     y = np.zeros(100, dtype=int)
     gbset = k_division_gbg(X, y, seed=0)
     assert len(gbset) == 1 and gbset.balls[0].purity == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_raise(bad):
+    X, y = _blobs()
+    X[3, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        k_division_gbg(X, y)
+
+
+def test_non_2d_features_raise():
+    X, y = _blobs()
+    with pytest.raises(ValueError, match="2-D"):
+        k_division_gbg(X[:, 0], y)
+
+
+def test_2d_labels_raise():
+    X, y = _blobs()
+    with pytest.raises(ValueError, match="1-D"):
+        k_division_gbg(X, y[:, None])
+
+
+def test_length_mismatch_raises():
+    X, y = _blobs()
+    with pytest.raises(ValueError, match="rows"):
+        k_division_gbg(X, y[:-1])

@@ -1,4 +1,4 @@
-"""Tests for ``forget_zip_finders``, without Spark: a zip package on sys.path."""
+"""Tests for ``forget_zip_finders`` and ``python_task``, without Spark: a zip package on sys.path."""
 import importlib
 import sys
 import zipfile
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.spark_gbabs import granulate_partitions
 from repro.harness.grid import run_grid
-from repro.harness.session import forget_zip_finders
+from repro.harness.session import forget_zip_finders, python_task
 
 
 def _zip_finders() -> list:
@@ -95,4 +95,20 @@ def test_task_body_leaves_no_zip_finder(zip_package, task):
     else:
         granulate_partitions(captured)
     assert list(captured.body(_importing([]))) == []
+    assert not _zip_finders()
+
+
+def test_failing_task_body_leaves_no_zip_finder(zip_package):
+    """A body that raises mid-iteration still forgets the finders its imports built."""
+
+    @python_task
+    def failing(batches):
+        for batch in _importing(batches):
+            yield batch
+            raise RuntimeError("task failed")
+
+    task = failing(iter(["batch"]))
+    assert next(task) == "batch"
+    with pytest.raises(RuntimeError, match="task failed"):
+        next(task)
     assert not _zip_finders()

@@ -1,4 +1,4 @@
-"""Tests for the distributed GBABS (ball table + Catalyst window)."""
+"""Tests for the distributed GBABS ((ball, dimension) table + Catalyst window)."""
 import re
 
 import numpy as np
@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.errors import PythonException
 
-from repro.core.gbabs import borderline_pairs, gbabs_sample
+from repro.core.gbabs import ball_extremes, borderline_pairs, gbabs_sample
 from repro.core.rdgbg import rd_gbg
 from repro.core.spark_gbabs import (
     BALL_SCHEMA,
@@ -82,31 +82,43 @@ def test_empty_shards(spark):
     X = np.array([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2]])
     y = np.array([0, 0, 0, 1, 1, 1])
     df = to_spark_df(spark, X, y)
-    assert granulate_partitions(df, num_partitions=8).count() <= len(X)
+    balls = granulate_partitions(df, num_partitions=8)
+    assert balls.select("ball_key").distinct().count() <= len(X)
     assert set(_sids(gbabs_sample_df(df, num_partitions=8))) <= set(range(len(X)))
 
 
 def test_granulate_partitions_purity_and_keys(s2):
-    """One row per ball; each ball's facing extremes carry its label."""
+    """One row per (ball, dim); each ball's facing extremes carry its label."""
     X, y, df = s2
-    balls = granulate_partitions(df, rho=5, seed=0, num_partitions=2).toPandas()
-    assert balls["ball_key"].is_unique
-    assert set(balls["ball_key"].to_numpy() >> 32) == {0, 1}
-    top, bot = np.stack(balls["top"]), np.stack(balls["bot"])
-    assert top.shape == bot.shape == (len(balls), X.shape[1])
-    label = balls["label"].to_numpy()[:, None]
-    assert (y[top] == label).all() and (y[bot] == label).all()
+    rows = granulate_partitions(df, rho=5, seed=0, num_partitions=2).toPandas()
+    p = X.shape[1]
+    assert sorted(rows["dim"].unique()) == list(range(p))
+    assert not rows.duplicated(["dim", "ball_key"]).any()
+    per_ball = rows.groupby("ball_key")
+    assert (per_ball.size() == p).all() and (per_ball["label"].nunique() == 1).all()
+    assert set(rows["ball_key"].to_numpy() >> 32) == {0, 1}
+    label = rows["label"].to_numpy()
+    assert (y[rows["top"]] == label).all() and (y[rows["bot"]] == label).all()
 
 
 def test_granulate_partitions_covers_subset_of_rows(s2):
-    """At one partition the ball table is numpy's ball set, row for row."""
+    """At one partition the (ball, dim) table is numpy's ball set, row for row."""
     X, y, df = s2
-    balls = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
+    rows = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
+    rows = rows.sort_values(["ball_key", "dim"])
     gbset = rd_gbg(X, y, rho=5, seed=0)
-    assert len(balls) == len(gbset)
-    assert np.array_equal(np.stack(balls["center"]), gbset.centers())
-    sids = np.concatenate([np.stack(balls["top"]), np.stack(balls["bot"])])
-    assert set(sids.ravel()) <= set(range(len(X)))
+    m, p = len(gbset), X.shape[1]
+    assert len(rows) == m * p
+
+    def table(col):
+        return rows[col].to_numpy().reshape(m, p)
+
+    assert (table("dim") == np.arange(p)).all()
+    assert (table("ball_key") == np.arange(m)[:, None]).all()
+    assert np.array_equal(table("val"), gbset.centers())
+    assert (table("label") == gbset.labels()[:, None]).all()
+    top, bot = ball_extremes(X, gbset)
+    assert np.array_equal(table("top"), top) and np.array_equal(table("bot"), bot)
 
 
 @pytest.mark.parametrize("parts", [2, 4])
@@ -127,39 +139,35 @@ def test_borderline_pairs_df_matches_duckdb_oracle(spark):
     # Coarse coordinates force center ties, which break by ball_key.
     center = rng.integers(0, 8, (m, p)).astype(np.float64)
     top, bot = rng.integers(0, 1000, (2, m, p))
-    balls = pd.DataFrame(
-        {
-            "ball_key": (rng.integers(0, 3, m) << 32) + rng.permutation(m),
-            "label": rng.integers(0, 3, m),
-            "center": list(center),
-            "top": list(top),
-            "bot": list(bot),
-        }
+    ball_key = (rng.integers(0, 3, m) << 32) + rng.permutation(m)
+    label = rng.integers(0, 3, m)
+    balls = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "dim": np.tile(np.arange(p, dtype=np.int32), m),
+                "val": center.ravel(),
+                "ball_key": np.repeat(ball_key, p),
+                "label": np.repeat(label, p),
+                "top": top.ravel(),
+                "bot": bot.ravel(),
+            }
+        ),
+        schema=BALL_SCHEMA,
     )
-    longf = pd.DataFrame(
-        {
-            "dim": np.tile(np.arange(p), m),
-            "ball_key": np.repeat(balls["ball_key"], p),
-            "label": np.repeat(balls["label"], p),
-            "val": center.ravel(),
-            "top": top.ravel(),
-            "bot": bot.ravel(),
-        }
-    )
-    got = borderline_pairs_df(spark.createDataFrame(balls, schema=BALL_SCHEMA))
+    got = borderline_pairs_df(balls)
     sql = """
         WITH w AS (
             SELECT dim, ball_key, label, top,
                    lead(label) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_label,
                    lead(ball_key) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_ball,
                    lead(bot) OVER (PARTITION BY dim ORDER BY val, ball_key) AS nxt_bot
-            FROM longf
+            FROM balls
         )
         SELECT dim, ball_key AS lo_ball, nxt_ball AS hi_ball,
                top AS lo_sid, nxt_bot AS hi_sid
         FROM w WHERE nxt_label IS NOT NULL AND label <> nxt_label
     """
-    assert_equivalent(got, sql, longf=longf)
+    assert_equivalent(got, sql, balls=balls)
 
 
 def test_borderline_pairs_df_matches_numpy_reference(s2):
@@ -178,10 +186,10 @@ def test_borderline_pairs_df_matches_numpy_reference(s2):
 def test_noise_rows_never_emitted(spark):
     X, y, _ = load_dataset("S2", noise_ratio=0.3, noise_seed=1)
     df = to_spark_df(spark, X, y)
-    balls = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
+    rows = granulate_partitions(df, rho=5, seed=0, num_partitions=1).toPandas()
     noise = set(rd_gbg(X, y, rho=5, seed=0).noise_idx.tolist())
     assert noise
-    extremes = set(np.stack(balls["top"]).ravel()) | set(np.stack(balls["bot"]).ravel())
+    extremes = set(rows["top"]) | set(rows["bot"])
     assert not extremes & noise
     assert not set(_sids(gbabs_sample_df(df, rho=5, seed=0, num_partitions=1))) & noise
 
